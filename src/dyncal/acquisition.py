@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 IM_SD_FLOOR = 1e-12
 
@@ -37,6 +37,11 @@ def improvement(y: float, pred_sd: float, target: ContourTarget) -> float:
     return eps2 - min((y - target.a) ** 2, eps2)
 
 
+def _norm_pdf(u):
+    """Standard normal density, the expression scipy.stats.norm.pdf uses."""
+    return np.exp(-u ** 2 / 2.0) / np.sqrt(2.0 * np.pi)
+
+
 def expected_improvement(pred_mean, pred_sd, target: ContourTarget):
     """Closed-form E[I(x)] for y ~ Normal(pred_mean, pred_sd^2).
 
@@ -57,8 +62,8 @@ def expected_improvement(pred_mean, pred_sd, target: ContourTarget):
         eps = target.alpha * s
         u1 = (-m - eps) / s
         u2 = (-m + eps) / s
-        dPhi = norm.cdf(u2) - norm.cdf(u1)
-        phi1, phi2 = norm.pdf(u1), norm.pdf(u2)
+        dPhi = ndtr(u2) - ndtr(u1)
+        phi1, phi2 = _norm_pdf(u1), _norm_pdf(u2)
         ei = ((eps ** 2 - m ** 2) * dPhi
               + s ** 2 * ((u2 * phi2 - u1 * phi1) - dPhi)
               + 2.0 * m * s * (phi2 - phi1))

@@ -160,11 +160,11 @@ def _polish(func, x0, maxfev):
 FILL_INDEX_COUNT = 24  # series indices backing the full-norm emulator
 
 
-def _fill_indices(L: int, dps: list[int] | None, count: int = FILL_INDEX_COUNT):
-    """Evenly spaced series indices (1-based) complementing the DPS."""
+def _fill_indices(L: int, count: int = FILL_INDEX_COUNT):
+    """Evenly spaced series indices (1-based); coinciding with DPS indices is harmless."""
     fill = {int(round((j + 0.5) * L / count)) for j in range(count)}
     fill = {min(max(t, 1), L) for t in fill}
-    return sorted(fill - set(dps or []))
+    return sorted(fill)
 
 
 def extract_solution(models: list[GpModel], targets: list[float],
@@ -226,8 +226,7 @@ def extract_solution(models: list[GpModel], targets: list[float],
         Y = np.asarray(training_responses, dtype=float)
         g0 = np.asarray(target_values, dtype=float)
         X_train = models[0].X
-        dps = None  # fill indices may coincide with DPS; duplicates are harmless
-        fill = _fill_indices(Y.shape[1], dps)
+        fill = _fill_indices(Y.shape[1])
         fill_bank = MeanBank([fit_gp(X_train, Y[:, t - 1]) for t in fill])
         fill_targets = np.array([g0[t - 1] for t in fill])
 

@@ -27,7 +27,7 @@ from .gp import FitError
 from .metrics import evaluate_all
 from .simulators import (ExternalSimulator, ProcessError, ProtocolError,
                          Simulator, SimulatorSpec, SimulatorTimeout,
-                         get_simulator)
+                         get_simulator, target_series)
 from .spline_dps import TargetSeries, build_dps
 
 EXIT_OK = 0
@@ -154,12 +154,14 @@ def _run_common(args, mode: str) -> int:
         cfg["seed"] = args.seed
     simulator = _build_simulator(cfg)
     config = _msce_config(cfg)
-    target = (np.asarray(cfg["target"], dtype=float) if "target" in cfg
-              else _read_series_csv(cfg["target_csv"]).values if "target_csv" in cfg
-              else None)
-    if target is None:
-        from .simulators import target_series
+    if "target" in cfg:
+        target = np.asarray(cfg["target"], dtype=float)
+    elif "target_csv" in cfg:
+        target = _read_series_csv(cfg["target_csv"]).values
+    elif isinstance(cfg["simulator"], str):
         target = target_series(cfg["simulator"])
+    else:
+        raise ValueError("an external-simulator config needs 'target' or 'target_csv'")
 
     if mode == "calibrate":
         result = cal.msce_run(simulator, target, config)
@@ -226,8 +228,6 @@ def _cmd_evaluate(args) -> int:
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="dyncal",
                                 description="Calibration of time-series simulators")
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap BLAS/OpenMP threads for numeric kernels")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("dps", help="build a discretization point set")
@@ -266,12 +266,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.threads is not None:
-        try:
-            from threadpoolctl import threadpool_limits
-            threadpool_limits(limits=args.threads)
-        except ImportError:
-            print("threadpoolctl unavailable; --threads ignored", file=sys.stderr)
     try:
         return args.func(args)
     except InputError as exc:

@@ -8,6 +8,8 @@ dimension.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.spatial.distance import pdist
 
@@ -65,6 +67,16 @@ def min_pairwise_distance(points: np.ndarray) -> float:
     return float(pdist(points).min())
 
 
+@lru_cache(maxsize=16)
+def _pair_indices(n: int):
+    """Row indices (i, j) of all pairs i < j; read-only, cached because the
+    exchange search evaluates the criterion thousands of times at one n."""
+    pairs = np.triu_indices(n, k=1)
+    for idx in pairs:
+        idx.flags.writeable = False
+    return pairs
+
+
 def maxpro_criterion(points: np.ndarray) -> float:
     """Maximum projection criterion psi(D); smaller is better.
 
@@ -76,9 +88,8 @@ def maxpro_criterion(points: np.ndarray) -> float:
     n, d = points.shape
     if n < 2:
         raise ValueError("MaxPro criterion needs at least 2 points")
-    diff2 = (points[:, None, :] - points[None, :, :]) ** 2
-    iu = np.triu_indices(n, k=1)
-    prods = np.prod(diff2[iu[0], iu[1], :], axis=1)
+    i, j = _pair_indices(n)
+    prods = np.prod((points[i] - points[j]) ** 2, axis=1)
     if np.any(prods == 0.0):
         return np.inf
     avg = np.sum(1.0 / prods) / (n * (n - 1) / 2)

@@ -9,13 +9,24 @@ with smoothness fixed at p = 1.95 by default. Fitting maximizes the profile
 log-likelihood over theta on a bounded log-scale box; mu and sigma^2 have
 closed-form profile estimates. Predictions use the BLUP mean and the
 classical kriging variance s^2(x) = sigma2 * (1 - r' R^-1 r).
+
+Every likelihood evaluation and every model assembly goes through one path:
+`_factor` takes the lower Cholesky factor L of R + nugget*I (LAPACK potrf,
+escalating the nugget tenfold on failure), and `_profile` makes one forward
+triangular solve on the two columns [y, 1]. With a = L^-1 y and b = L^-1 1,
+the concentrated likelihood (Roustant, Ginsbourger & Deville 2012) needs only
+
+    mu = b'a / b'b,   w = a - mu b,   sigma2 = w'w / n,   log|R| = 2 sum log diag L,
+
+and the prediction weights are alpha = L^-T w, one more triangular solve.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.optimize import minimize
 
 from .designs import random_lhd
@@ -58,9 +69,15 @@ def _pairwise_powered(X: np.ndarray, p: float) -> np.ndarray:
     return np.abs(X[:, None, :] - X[None, :, :]) ** p
 
 
+def _correlation_from_powered(powered: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Correlation matrix from the (n, n, d) powered distances."""
+    n = powered.shape[0]
+    return np.exp(-(powered.reshape(n * n, -1) @ theta)).reshape(n, n)
+
+
 def correlation_matrix(spec: CorrelationSpec, X: np.ndarray) -> np.ndarray:
-    return np.exp(-np.tensordot(_pairwise_powered(np.asarray(X, float), spec.p),
-                                spec.theta, axes=(2, 0)))
+    return _correlation_from_powered(_pairwise_powered(np.asarray(X, float), spec.p),
+                                     spec.theta)
 
 
 def cross_correlation(spec: CorrelationSpec, X: np.ndarray, X_star: np.ndarray) -> np.ndarray:
@@ -112,18 +129,42 @@ class GpModel:
         return self.X.shape[1]
 
 
-def _chol_with_nugget(R: np.ndarray, start: float, cap: float):
-    """Cholesky of R + nugget*I, escalating the nugget tenfold up to cap."""
+def _factor(R: np.ndarray, start: float, cap: float):
+    """Lower Cholesky factor of R + nugget*I, escalating the nugget tenfold up to cap.
+
+    Writes the nugget into R's diagonal in place. Returns (L, nugget), with
+    L None when R is not positive definite even at the cap.
+    """
     n = R.shape[0]
+    base = R.diagonal().copy()
     nugget = start
     while True:
-        try:
-            L = np.linalg.cholesky(R + nugget * np.eye(n))
+        R.flat[::n + 1] = base + nugget
+        L, info = dpotrf(R, lower=1)
+        if info == 0:
             return L, nugget
-        except np.linalg.LinAlgError:
-            if nugget >= cap:
-                return None, nugget
-            nugget = min(nugget * 10.0, cap)
+        if nugget >= cap:
+            return None, nugget
+        nugget = min(nugget * 10.0, cap)
+
+
+def _profile(L: np.ndarray, y_std: np.ndarray):
+    """Profile estimates from the Cholesky factor L of the correlation matrix.
+
+    Returns (mu, sigma2, logdet, w): the generalized-least-squares mean, the
+    profile variance, log|R| and the whitened residual w = L^-1 (y - mu 1).
+    """
+    n = len(y_std)
+    rhs = np.empty((n, 2), order="F")
+    rhs[:, 0] = y_std
+    rhs[:, 1] = 1.0
+    ab, _ = dtrtrs(L, rhs, lower=1)
+    a, b = ab[:, 0], ab[:, 1]
+    mu = (b @ a) / (b @ b)
+    w = a - mu * b
+    sigma2 = (w @ w) / n
+    logdet = 2.0 * np.sum(np.log(np.diag(L)))
+    return mu, sigma2, logdet, w
 
 
 _NLL_BAD = 1e25  # finite sentinel so simplex arithmetic stays warning-free
@@ -131,21 +172,14 @@ _NLL_BAD = 1e25  # finite sentinel so simplex arithmetic stays warning-free
 
 def _profile_nll(theta, powered, y_std, cfg):
     """Negative profile log-likelihood (up to constants): n log s2 + log|R|."""
-    R = np.exp(-np.tensordot(powered, theta, axes=(2, 0)))
-    L, _ = _chol_with_nugget(R, cfg.nugget_start, cfg.nugget_cap)
+    L, _ = _factor(_correlation_from_powered(powered, theta),
+                   cfg.nugget_start, cfg.nugget_cap)
     if L is None:
         return _NLL_BAD
-    n = len(y_std)
-    ones = np.ones(n)
-    Ri_y = cho_solve((L, True), y_std)
-    Ri_1 = cho_solve((L, True), ones)
-    mu = (ones @ Ri_y) / (ones @ Ri_1)
-    resid = y_std - mu
-    sigma2 = (resid @ cho_solve((L, True), resid)) / n
-    if sigma2 <= 0:
+    _, sigma2, logdet, _ = _profile(L, y_std)
+    if not sigma2 > 0:  # also rejects NaN
         return _NLL_BAD
-    logdet = 2.0 * np.sum(np.log(np.diag(L)))
-    return n * np.log(sigma2) + logdet
+    return len(y_std) * np.log(sigma2) + logdet
 
 
 def build_gp_model(X: np.ndarray, y: np.ndarray, spec: CorrelationSpec,
@@ -157,7 +191,6 @@ def build_gp_model(X: np.ndarray, y: np.ndarray, spec: CorrelationSpec,
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    n = X.shape[0]
     y_mean = float(np.mean(y))
     y_scale = float(np.std(y))
     if y_scale == 0.0:
@@ -165,18 +198,11 @@ def build_gp_model(X: np.ndarray, y: np.ndarray, spec: CorrelationSpec,
                        nugget=0.0, chol=None, y_mean=y_mean, y_scale=1.0,
                        degenerate=True)
     y_std = (y - y_mean) / y_scale
-    R = correlation_matrix(spec, X)
-    try:
-        L = np.linalg.cholesky(R + nugget * np.eye(n))
-    except np.linalg.LinAlgError:
+    L, _ = _factor(correlation_matrix(spec, X), nugget, nugget)
+    if L is None:
         raise FitError(f"correlation matrix not positive definite at nugget {nugget}")
-    ones = np.ones(n)
-    Ri_y = cho_solve((L, True), y_std)
-    Ri_1 = cho_solve((L, True), ones)
-    mu_std = float((ones @ Ri_y) / (ones @ Ri_1))
-    resid = y_std - mu_std
-    alpha = cho_solve((L, True), resid)
-    sigma2_std = float(resid @ alpha / n)
+    mu_std, sigma2_std, _, w = _profile(L, y_std)
+    alpha, _ = dtrtrs(L, w, lower=1, trans=1)
     return GpModel(
         X=X, y=y, spec=spec,
         mu_hat=y_mean + y_scale * mu_std,
@@ -215,10 +241,7 @@ def fit_gp(X: np.ndarray, y: np.ndarray, config: FitConfig | None = None) -> GpM
     y_mean = float(np.mean(y))
     y_scale = float(np.std(y))
     if y_scale == 0.0:
-        spec = CorrelationSpec(np.zeros(d), cfg.p)
-        return GpModel(X=X, y=y, spec=spec, mu_hat=y_mean, sigma2_hat=0.0,
-                       nugget=0.0, chol=None, y_mean=y_mean, y_scale=1.0,
-                       degenerate=True)
+        return build_gp_model(X, y, CorrelationSpec(np.zeros(d), cfg.p), 0.0)
     y_std = (y - y_mean) / y_scale
 
     powered = _pairwise_powered(X, cfg.p)
@@ -242,8 +265,8 @@ def fit_gp(X: np.ndarray, y: np.ndarray, config: FitConfig | None = None) -> GpM
     theta = 10.0 ** np.clip(best[2], lo, hi)
     spec = CorrelationSpec(theta, cfg.p)
 
-    R = np.exp(-np.tensordot(powered, theta, axes=(2, 0)))
-    _, nugget = _chol_with_nugget(R, cfg.nugget_start, cfg.nugget_cap)
+    _, nugget = _factor(_correlation_from_powered(powered, theta),
+                        cfg.nugget_start, cfg.nugget_cap)
     return build_gp_model(X, y, spec, nugget)
 
 

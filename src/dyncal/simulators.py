@@ -117,10 +117,6 @@ class Simulator:
         x_native = self.spec.unscale(x_scaled)
         return np.asarray(self._func(x_native, self.spec.time_grid), dtype=float)
 
-    def run_native(self, x_native) -> np.ndarray:
-        self.calls += 1
-        return np.asarray(self._func(x_native, self.spec.time_grid), dtype=float)
-
     def reset_counter(self):
         self.calls = 0
 

@@ -95,6 +95,18 @@ def test_calibrate_budget_error_exit_code(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err.lower()
 
 
+def test_external_simulator_without_target_is_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "simulator": {"command": ["true"], "d": 2, "L": 10,
+                      "bounds": [[0, 1], [0, 1]]},
+        "n0": 4, "N": 8,
+    }))
+    rc = cli.main(["calibrate", str(path), "--out-dir", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    assert "target" in capsys.readouterr().err
+
+
 def test_hm_requires_positive_cutoff(tmp_path, capsys):
     cfg = toy_calibrate_config(tmp_path, cutoff=-1.0)
     rc = cli.main(["hm", cfg])

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from dyncal.designs import random_lhd
-from dyncal.gp import (CorrelationSpec, FitConfig, FitError, correlation,
-                       fit_gp, model_from_dict, model_to_dict, predict,
-                       predict_batch, _profile_nll, _pairwise_powered)
+from dyncal.gp import (CorrelationSpec, FitConfig, FitError, build_gp_model,
+                       correlation, correlation_matrix, fit_gp, model_from_dict,
+                       model_to_dict, predict, predict_batch, _factor, _profile,
+                       _profile_nll, _pairwise_powered)
 from dyncal.simulators import get_simulator
 from dyncal.designs import maximin_lhd
 
@@ -216,3 +217,81 @@ def test_serialization_round_trip(tmp_path):
     assert np.allclose(m0, m1, rtol=1e-12, atol=1e-14)
     assert np.allclose(s0, s1, rtol=1e-10, atol=1e-14)
     assert clone.nugget == model.nugget
+
+
+def dense_profile(R, y):
+    """Profile estimates and n log s2 + log|R| by an explicit inverse."""
+    n = len(y)
+    Ri = np.linalg.inv(R)
+    ones = np.ones(n)
+    mu = (ones @ Ri @ y) / (ones @ Ri @ ones)
+    sigma2 = (y - mu) @ Ri @ (y - mu) / n
+    sign, logdet = np.linalg.slogdet(R)
+    assert sign > 0
+    return mu, sigma2, logdet, n * np.log(sigma2) + logdet
+
+
+@pytest.mark.parametrize("n,d", [(8, 1), (30, 2), (60, 5)])
+def test_profile_matches_dense_inverse_oracle(n, d):
+    cfg = FitConfig()
+    X = random_lhd(n, d, seed=n)
+    y = np.sin(4 * X[:, 0]) + X[:, -1] ** 2
+    y_std = (y - y.mean()) / y.std()
+    theta = np.full(d, 10.0)
+    R = correlation_matrix(CorrelationSpec(theta, cfg.p), X)
+    want_mu, want_s2, want_logdet, want_nll = dense_profile(
+        R + cfg.nugget_start * np.eye(n), y_std)
+
+    L, nugget = _factor(R.copy(), cfg.nugget_start, cfg.nugget_cap)
+    assert nugget == cfg.nugget_start
+    mu, sigma2, logdet, _ = _profile(L, y_std)
+    assert mu == pytest.approx(want_mu, rel=1e-10)
+    assert sigma2 == pytest.approx(want_s2, rel=1e-10)
+    assert logdet == pytest.approx(want_logdet, rel=1e-10)
+    nll = _profile_nll(theta, _pairwise_powered(X, cfg.p), y_std, cfg)
+    assert nll == pytest.approx(want_nll, rel=1e-10)
+
+
+def _escalate_reference(R, start, cap):
+    """The nugget escalation rule written with numpy's Cholesky."""
+    nugget = start
+    while True:
+        try:
+            np.linalg.cholesky(R + nugget * np.eye(len(R)))
+            return nugget
+        except np.linalg.LinAlgError:
+            if nugget >= cap:
+                return None
+            nugget = min(nugget * 10.0, cap)
+
+
+def test_factor_escalates_nugget_on_near_duplicate_design():
+    # three points repeated 1e-9 away: their correlations round to exactly 1,
+    # so R + nugget*I stays singular until 1 + nugget differs from 1
+    X = random_lhd(8, 2, seed=0)
+    X = np.vstack([X, X[:3] + 1e-9])
+    R = correlation_matrix(CorrelationSpec(np.ones(2)), X)
+    start, cap = 1e-20, 1e-4
+
+    want = _escalate_reference(R, start, cap)
+    assert want is not None and want > start
+    L, nugget = _factor(R.copy(), start, cap)
+    assert nugget == want
+    assert np.allclose(L @ L.T, R + nugget * np.eye(len(R)), rtol=0, atol=1e-14)
+
+    low_cap = want / 100.0
+    assert _escalate_reference(R, start, low_cap) is None
+    L, nugget = _factor(R.copy(), start, low_cap)
+    assert L is None and nugget == low_cap
+
+
+def test_build_alpha_solves_nugget_system():
+    X = random_lhd(30, 2, seed=4)
+    y = np.cos(3 * X[:, 0]) * X[:, 1] + X[:, 0]
+    spec = CorrelationSpec(np.array([3.0, 5.0]))
+    nugget = 1e-8
+    model = build_gp_model(X, y, spec, nugget)
+    y_std = (y - model.y_mean) / model.y_scale
+    A = correlation_matrix(spec, X) + nugget * np.eye(len(y))
+    rhs = y_std - model.mu_std
+    assert np.linalg.norm(A @ model.alpha - rhs) <= 1e-10 * np.linalg.norm(rhs)
