@@ -15,8 +15,7 @@ from .designs import (is_latin_hypercube, maximin_lhd, maxpro_criterion,
                       maxpro_lhd, min_pairwise_distance, random_lhd,
                       save_design_csv)
 from .gp import (CorrelationSpec, FitConfig, FitError, GpModel,
-                 build_gp_model, correlation, fit_gp, model_from_dict,
-                 model_to_dict, predict, predict_batch)
+                 build_gp_model, fit_gp, predict_batch)
 from .metrics import (ConstantTargetError, NormD, evaluate_all,
                       nash_sutcliffe, norm_d, r_squared, rmse)
 from .simulators import (ExternalSimulator, ProcessError, ProtocolError,

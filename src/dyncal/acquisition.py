@@ -71,11 +71,6 @@ def expected_improvement(pred_mean, pred_sd, target: ContourTarget):
     return float(out[0]) if scalar else out
 
 
-def argmax_ei(pred_means, pred_sds, target: ContourTarget) -> int:
-    """Index of the largest EI over a candidate sweep; first index wins ties."""
-    return int(np.argmax(expected_improvement(pred_means, pred_sds, target)))
-
-
 def implausibility(pred_mean, pred_sd, target_value):
     """Standardized distance |ghat - g0| / s.
 

@@ -422,13 +422,7 @@ def write_run_artifacts(run_dir, result: CalibrationResult, resolved_config: dic
         "metrics": result.metrics,
         "flags": result.flags,
         "budget_used": result.budget_used,
-        "dps": {
-            "ordered_knots": [int(v) for v in result.dps.ordered_knots],
-            "mse_path": [float(v) for v in result.dps.mse_path],
-            "k_selected": result.dps.k_selected,
-            "dps": [int(v) for v in result.dps.dps],
-            "elbow_warning": result.dps.elbow_warning,
-        },
+        "dps": result.dps.to_dict(),
     }
     if simulator is not None:
         payload["x_opt_native"] = [float(v) for v in simulator.spec.unscale(result.x_opt)]

@@ -132,13 +132,7 @@ def _cmd_dps(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "dps.json", "w") as fh:
-        json.dump({
-            "ordered_knots": [int(v) for v in result.ordered_knots],
-            "mse_path": [float(v) for v in result.mse_path],
-            "k_selected": result.k_selected,
-            "dps": [int(v) for v in result.dps],
-            "elbow_warning": result.elbow_warning,
-        }, fh, indent=2, sort_keys=True)
+        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(out / "mse_path.csv", "w") as fh:
         fh.write("knots,mse\n")
@@ -280,6 +274,9 @@ def main(argv=None) -> int:
     except (ProcessError, ProtocolError, SimulatorTimeout) as exc:
         print(f"simulator error: {exc}", file=sys.stderr)
         return EXIT_PROCESS
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     except (ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -19,6 +19,12 @@ the concentrated likelihood (Roustant, Ginsbourger & Deville 2012) needs only
     mu = b'a / b'b,   w = a - mu b,   sigma2 = w'w / n,   log|R| = 2 sum log diag L,
 
 and the prediction weights are alpha = L^-T w, one more triangular solve.
+
+The kernel is written once: `_powered` gives |a_k - b_k|^p for every pair of
+rows, and `_corr` turns those into correlations for one theta. Fitting,
+model assembly, `predict_batch` and `MeanBank` all go through this pair, and
+the BLUP mean y_mean + y_scale (mu_std + r' alpha) is written once, in `_mean`,
+which also holds the only branch for a constant (degenerate) response.
 """
 from __future__ import annotations
 
@@ -57,35 +63,15 @@ class CorrelationSpec:
             raise ValueError(f"smoothness exponent must be in (0, 2], got {self.p}")
 
 
-def correlation(spec: CorrelationSpec, x_i, x_j) -> float:
-    """Correlation between the process at two points; 1 at zero distance."""
-    x_i = np.asarray(x_i, dtype=float)
-    x_j = np.asarray(x_j, dtype=float)
-    return float(np.exp(-np.sum(spec.theta * np.abs(x_i - x_j) ** spec.p)))
+def _powered(A: np.ndarray, B: np.ndarray, p: float) -> np.ndarray:
+    """|a_k - b_k|^p for every row a of A and b of B, shape (n_A, n_B, d)."""
+    return np.abs(A[:, None, :] - B[None, :, :]) ** p
 
 
-def _pairwise_powered(X: np.ndarray, p: float) -> np.ndarray:
-    """|x_ik - x_jk|^p for all pairs, shape (n, n, d)."""
-    return np.abs(X[:, None, :] - X[None, :, :]) ** p
-
-
-def _correlation_from_powered(powered: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Correlation matrix from the (n, n, d) powered distances."""
-    n = powered.shape[0]
-    return np.exp(-(powered.reshape(n * n, -1) @ theta)).reshape(n, n)
-
-
-def correlation_matrix(spec: CorrelationSpec, X: np.ndarray) -> np.ndarray:
-    return _correlation_from_powered(_pairwise_powered(np.asarray(X, float), spec.p),
-                                     spec.theta)
-
-
-def cross_correlation(spec: CorrelationSpec, X: np.ndarray, X_star: np.ndarray) -> np.ndarray:
-    """Correlations between training points and query points, shape (n, m)."""
-    X = np.asarray(X, dtype=float)
-    X_star = np.atleast_2d(np.asarray(X_star, dtype=float))
-    D = np.abs(X[:, None, :] - X_star[None, :, :]) ** spec.p
-    return np.exp(-np.tensordot(D, spec.theta, axes=(2, 0)))
+def _corr(powered: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Power-exponential correlations from the powered distances, shape (n_A, n_B)."""
+    n_a, n_b, d = powered.shape
+    return np.exp(-(powered.reshape(-1, d) @ theta)).reshape(n_a, n_b)
 
 
 @dataclass
@@ -172,8 +158,7 @@ _NLL_BAD = 1e25  # finite sentinel so simplex arithmetic stays warning-free
 
 def _profile_nll(theta, powered, y_std, cfg):
     """Negative profile log-likelihood (up to constants): n log s2 + log|R|."""
-    L, _ = _factor(_correlation_from_powered(powered, theta),
-                   cfg.nugget_start, cfg.nugget_cap)
+    L, _ = _factor(_corr(powered, theta), cfg.nugget_start, cfg.nugget_cap)
     if L is None:
         return _NLL_BAD
     _, sigma2, logdet, _ = _profile(L, y_std)
@@ -198,7 +183,7 @@ def build_gp_model(X: np.ndarray, y: np.ndarray, spec: CorrelationSpec,
                        nugget=0.0, chol=None, y_mean=y_mean, y_scale=1.0,
                        degenerate=True)
     y_std = (y - y_mean) / y_scale
-    L, _ = _factor(correlation_matrix(spec, X), nugget, nugget)
+    L, _ = _factor(_corr(_powered(X, X, spec.p), spec.theta), nugget, nugget)
     if L is None:
         raise FitError(f"correlation matrix not positive definite at nugget {nugget}")
     mu_std, sigma2_std, _, w = _profile(L, y_std)
@@ -244,7 +229,7 @@ def fit_gp(X: np.ndarray, y: np.ndarray, config: FitConfig | None = None) -> GpM
         return build_gp_model(X, y, CorrelationSpec(np.zeros(d), cfg.p), 0.0)
     y_std = (y - y_mean) / y_scale
 
-    powered = _pairwise_powered(X, cfg.p)
+    powered = _powered(X, X, cfg.p)
     lo, hi = np.log10(cfg.theta_bounds[0]), np.log10(cfg.theta_bounds[1])
 
     def nll_log10(lt):
@@ -265,9 +250,20 @@ def fit_gp(X: np.ndarray, y: np.ndarray, config: FitConfig | None = None) -> GpM
     theta = 10.0 ** np.clip(best[2], lo, hi)
     spec = CorrelationSpec(theta, cfg.p)
 
-    _, nugget = _factor(_correlation_from_powered(powered, theta),
-                        cfg.nugget_start, cfg.nugget_cap)
+    _, nugget = _factor(_corr(powered, theta), cfg.nugget_start, cfg.nugget_cap)
     return build_gp_model(X, y, spec, nugget)
+
+
+def _mean(model: GpModel, powered: np.ndarray):
+    """BLUP mean at the query points whose powered distances to model.X are given.
+
+    Returns (means, r) with r the (n, m) cross-correlations, or None for a
+    degenerate model, whose mean is its constant.
+    """
+    if model.degenerate:
+        return np.full(powered.shape[1], model.mu_hat), None
+    r = _corr(powered, model.spec.theta)
+    return model.y_mean + model.y_scale * (model.mu_std + r.T @ model.alpha), r
 
 
 def predict_batch(model: GpModel, X_star: np.ndarray):
@@ -277,33 +273,22 @@ def predict_batch(model: GpModel, X_star: np.ndarray):
     floating-point undershoot.
     """
     X_star = np.atleast_2d(np.asarray(X_star, dtype=float))
-    m = X_star.shape[0]
-    if model.degenerate:
-        return np.full(m, model.mu_hat), np.zeros(m)
-    r = cross_correlation(model.spec, model.X, X_star)  # (n, m)
-    mean_std = model.mu_std + r.T @ model.alpha
+    means, r = _mean(model, _powered(model.X, X_star, model.spec.p))
+    if r is None:
+        return means, np.zeros(len(means))
     # r' R~^-1 r via the triangular factor
     v = solve_triangular(model.chol, r, lower=True)
     quad = np.sum(v * v, axis=0)
-    s2_std = model.sigma2_std * np.maximum(1.0 - quad, 0.0)
-    means = model.y_mean + model.y_scale * mean_std
-    s2 = model.y_scale ** 2 * s2_std
+    s2 = model.y_scale ** 2 * (model.sigma2_std * np.maximum(1.0 - quad, 0.0))
     return means, s2
 
 
-def predict(model: GpModel, x_star) -> tuple[float, float]:
-    """BLUP mean and variance at a single point."""
-    means, s2 = predict_batch(model, np.atleast_2d(x_star))
-    return float(means[0]), float(s2[0])
-
-
 class MeanBank:
-    """Fast mean-only prediction across models sharing one training design.
+    """Mean-only prediction across models sharing one training design.
 
-    Stacks the per-model correlation parameters and prediction weights so a
-    whole bank of surrogates is evaluated with a single matrix product per
-    query batch. Used by the inner loops of solution extraction, where only
-    posterior means are needed and per-call overhead dominates.
+    The powered distances from the shared inputs to a query batch are
+    computed once per batch and reused by every model. Used by the inner
+    loops of solution extraction, where only posterior means are needed.
     """
 
     def __init__(self, models: list[GpModel]):
@@ -317,67 +302,11 @@ class MeanBank:
             if m.spec.p != self.p:
                 raise ValueError("models must share the smoothness exponent")
         self.models = models
-        d = self.X.shape[1]
-        n = self.X.shape[0]
-        self.thetas = np.stack([
-            np.zeros(d) if m.degenerate else m.spec.theta for m in models
-        ], axis=1)  # (d, M)
-        self.alphas = np.stack([
-            np.zeros(n) if m.degenerate else m.alpha for m in models
-        ], axis=1)  # (n, M)
-        self.offset = np.array([
-            m.mu_hat if m.degenerate else m.y_mean + m.y_scale * m.mu_std
-            for m in models
-        ])
-        self.scale = np.array([0.0 if m.degenerate else m.y_scale for m in models])
-
-    def _cross(self, x_batch: np.ndarray) -> np.ndarray:
-        x_batch = np.atleast_2d(np.asarray(x_batch, dtype=float))
-        D = np.abs(self.X[:, None, :] - x_batch[None, :, :]) ** self.p  # (n, B, d)
-        return np.exp(-np.einsum("nbd,dm->nbm", D, self.thetas))  # (n, B, M)
 
     def means(self, x_batch: np.ndarray) -> np.ndarray:
         """Posterior means, shape (batch, n_models)."""
-        R = self._cross(x_batch)
-        contrib = np.einsum("nbm,nm->bm", R, self.alphas)
-        return self.offset[None, :] + self.scale[None, :] * contrib
-
-    def means_and_vars(self, x_batch: np.ndarray):
-        """Posterior means and variances, each shape (batch, n_models)."""
-        R = self._cross(x_batch)
-        means = self.offset[None, :] + self.scale[None, :] * np.einsum(
-            "nbm,nm->bm", R, self.alphas)
-        B = R.shape[1]
-        s2 = np.zeros((B, len(self.models)))
-        for k, m in enumerate(self.models):
-            if m.degenerate:
-                continue
-            v = solve_triangular(m.chol, R[:, :, k], lower=True)
-            quad = np.sum(v * v, axis=0)
-            s2[:, k] = m.y_scale ** 2 * m.sigma2_std * np.maximum(1.0 - quad, 0.0)
-        return means, s2
-
-
-def model_to_dict(model: GpModel) -> dict:
-    """JSON-ready snapshot sufficient to rebuild the model."""
-    return {
-        "theta": [float(v) for v in model.spec.theta],
-        "p": model.spec.p,
-        "mu_hat": model.mu_hat,
-        "sigma2_hat": model.sigma2_hat,
-        "nugget": model.nugget,
-        "X": [[float(v) for v in row] for row in model.X],
-        "y": [float(v) for v in model.y],
-    }
-
-
-def model_from_dict(payload: dict) -> GpModel:
-    """Rebuild a fitted model from its JSON snapshot (no re-optimization).
-
-    Profile estimates are recomputed from the stored data and parameters, so
-    a hand-written payload only needs theta, p, nugget, X and y.
-    """
-    spec = CorrelationSpec(np.asarray(payload["theta"], dtype=float), payload["p"])
-    return build_gp_model(np.asarray(payload["X"], dtype=float),
-                          np.asarray(payload["y"], dtype=float),
-                          spec, payload["nugget"])
+        powered = _powered(self.X, np.atleast_2d(np.asarray(x_batch, dtype=float)), self.p)
+        out = np.empty((powered.shape[1], len(self.models)))
+        for k, model in enumerate(self.models):
+            out[:, k] = _mean(model, powered)[0]
+        return out

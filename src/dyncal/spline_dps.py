@@ -60,6 +60,16 @@ class DpsResult:
         if not self.dps:
             self.dps = list(self.ordered_knots[: self.k_selected])
 
+    def to_dict(self) -> dict:
+        """JSON-ready form, as written to dps.json and to result.json's dps block."""
+        return {
+            "ordered_knots": [int(v) for v in self.ordered_knots],
+            "mse_path": [float(v) for v in self.mse_path],
+            "k_selected": self.k_selected,
+            "dps": [int(v) for v in self.dps],
+            "elbow_warning": self.elbow_warning,
+        }
+
 
 def _design_matrix(n: int, interior_knots) -> np.ndarray:
     """Regression matrix for a cubic spline on indices 1..n.

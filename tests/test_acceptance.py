@@ -9,9 +9,11 @@ import stat
 import sys
 import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 
+import dyncal
 from conftest import record_acceptance
 from dyncal.acquisition import ContourTarget, expected_improvement
 from dyncal.calibrate import MsceConfig, hm_run, msce_run, write_run_artifacts, \
@@ -275,8 +277,12 @@ def test_criterion_11_greedy_stage_one_oracle():
 
 
 def test_criterion_12_external_simulator_round_trip(tmp_path):
+    # the wrapper runs with the exchange dir as its cwd, so a relative
+    # PYTHONPATH entry would not find dyncal there; name this copy absolutely
+    package_parent = str(Path(dyncal.__file__).resolve().parent.parent)
     wrapper = tmp_path / "easom_wrapper.py"
-    wrapper.write_text(f"#!{sys.executable}\n" + textwrap.dedent("""
+    wrapper.write_text(f"#!{sys.executable}\nimport sys\nsys.path.insert(0, {package_parent!r})\n"
+                       + textwrap.dedent("""
         import csv
         import numpy as np
         from dyncal.simulators import EASOM_SPEC, easom

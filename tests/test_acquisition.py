@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyncal.acquisition import (ContourTarget, argmax_ei, expected_improvement,
+from dyncal.acquisition import (ContourTarget, expected_improvement,
                                 implausibility, implausibility_max, improvement)
 
 
@@ -111,13 +111,6 @@ def test_ei_vectorized_matches_scalar():
     vec = expected_improvement(means, sds, target)
     for i in range(4):
         assert vec[i] == expected_improvement(float(means[i]), float(sds[i]), target)
-
-
-def test_argmax_ei_first_index_wins_ties():
-    target = ContourTarget(a=0.0)
-    means = np.array([5.0, 0.0, 0.0, 5.0])
-    sds = np.ones(4)
-    assert argmax_ei(means, sds, target) == 1
 
 
 def test_implausibility_basic():

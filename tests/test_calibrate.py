@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_toy_simulator
 from dyncal.calibrate import (BudgetError, MsceConfig, extract_solution,
@@ -167,6 +169,33 @@ def test_extract_fallback_when_targets_unreachable():
     assert flags["fallback"]
     assert flags["escalations"] == 6
     assert np.all((x_opt >= 0) & (x_opt <= 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(6, 12), d=st.integers(1, 3), k=st.integers(1, 3),
+       seed=st.integers(0, 10_000), reachable=st.booleans(),
+       with_series=st.booleans())
+def test_extract_solution_properties(n, d, k, seed, reachable, with_series):
+    rng = np.random.default_rng(seed)
+    X = random_lhd(n, d, rng)
+    L = 6
+    W = rng.uniform(1.0, 5.0, size=(L, d))
+    Y = np.sin(X @ W.T) + X.sum(axis=1, keepdims=True)  # (n, L) smooth series
+    models = [fit_gp(X, Y[:, j]) for j in range(k)]
+    i = int(rng.integers(n))
+    targets = [float(Y[i, j]) if reachable else 1e6 for j in range(k)]
+    config = small_config(seed=seed, grid_size=200)
+    extra = dict(training_responses=Y, target_values=Y[i]) if with_series else {}
+    x_opt, solution_sets, flags = extract_solution(models, targets, config, **extra)
+
+    assert x_opt.shape == (d,)
+    assert np.all((x_opt >= 0.0) & (x_opt <= 1.0))
+    assert flags["epsilon_used"] == config.epsilon * 10 ** flags["escalations"]
+    assert flags["fallback"] == (not reachable)
+    if flags["fallback"]:
+        assert flags["escalations"] == 6
+    else:
+        assert all(len(s) > 0 for s in solution_sets)
 
 
 def test_hm_tiny_cutoff_stops_after_first_stage():

@@ -95,6 +95,16 @@ def test_calibrate_budget_error_exit_code(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err.lower()
 
 
+def test_runtime_error_exits_one_without_traceback(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("dyncal.calibrate._is_duplicate", lambda x, X: True)
+    cfg = toy_calibrate_config(tmp_path)
+    rc = cli.main(["calibrate", cfg, "--out-dir", str(tmp_path / "run")])
+    assert rc == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert any(line.startswith("error: ") for line in err.splitlines())
+    assert "Traceback" not in err
+
+
 def test_external_simulator_without_target_is_config_error(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({

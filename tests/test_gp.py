@@ -1,14 +1,13 @@
-import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dyncal.designs import random_lhd
-from dyncal.gp import (CorrelationSpec, FitConfig, FitError, build_gp_model,
-                       correlation, correlation_matrix, fit_gp, model_from_dict,
-                       model_to_dict, predict, predict_batch, _factor, _profile,
-                       _profile_nll, _pairwise_powered)
+from dyncal.gp import (CorrelationSpec, FitConfig, FitError, MeanBank,
+                       build_gp_model, fit_gp, predict_batch, _corr, _factor,
+                       _powered, _profile, _profile_nll)
 from dyncal.simulators import get_simulator
 from dyncal.designs import maximin_lhd
 
@@ -35,11 +34,17 @@ def dense_oracle(X, y, theta, p, x_star):
 
 def fixed_theta_model(X, y, theta, p=1.95, nugget=0.0):
     """Build a model at fixed correlation parameters, skipping optimization."""
-    return model_from_dict({
-        "theta": list(np.atleast_1d(theta)), "p": p, "mu_hat": 0.0,
-        "sigma2_hat": 0.0, "nugget": nugget,
-        "X": np.atleast_2d(X).tolist(), "y": list(y),
-    })
+    return build_gp_model(X, y, CorrelationSpec(theta, p), nugget)
+
+
+def correlation(spec, x_i, x_j):
+    """Correlation between the process at two points, through the kernel helpers."""
+    return float(_corr(_powered(np.atleast_2d(x_i), np.atleast_2d(x_j), spec.p),
+                       spec.theta)[0, 0])
+
+
+def correlation_matrix(spec, X):
+    return _corr(_powered(X, X, spec.p), spec.theta)
 
 
 def test_correlation_zero_distance_is_one():
@@ -65,6 +70,18 @@ def test_correlation_zero_theta_constant():
         assert correlation(spec, x, y) == 1.0
 
 
+def test_corr_matches_pairwise_loop():
+    rng = np.random.default_rng(3)
+    A, B = rng.uniform(size=(7, 3)), rng.uniform(size=(11, 3))
+    theta = np.array([0.5, 4.0, 20.0])
+    got = _corr(_powered(A, B, 1.7), theta)
+    assert got.shape == (7, 11)
+    for i in range(7):
+        for j in range(11):
+            want = math.exp(-np.sum(theta * np.abs(A[i] - B[j]) ** 1.7))
+            assert got[i, j] == pytest.approx(want, rel=1e-14)
+
+
 def test_correlation_spec_validation():
     with pytest.raises(ValueError):
         CorrelationSpec(theta=np.array([-1.0]))
@@ -78,7 +95,7 @@ def test_two_point_hand_oracle():
     theta = np.array([1.5])
     model = fixed_theta_model(X, y, theta)
     for xs in (0.2, 0.5, 0.75, 0.9):
-        mean, s2 = predict(model, [xs])
+        (mean,), (s2,) = predict_batch(model, [xs])
         om, os2 = dense_oracle(X, y, theta, 1.95, np.array([xs]))
         assert mean == pytest.approx(om, rel=1e-10, abs=1e-12)
         assert s2 == pytest.approx(max(os2, 0.0), rel=1e-8, abs=1e-12)
@@ -91,7 +108,7 @@ def test_five_point_dense_solve_oracle():
     theta = np.array([4.0])
     model = fixed_theta_model(X, y, theta)
     for xs in rng.uniform(size=10):
-        mean, s2 = predict(model, [xs])
+        (mean,), (s2,) = predict_batch(model, [xs])
         om, os2 = dense_oracle(X, y, theta, 1.95, np.array([xs]))
         assert mean == pytest.approx(om, rel=1e-10, abs=1e-10)
         assert s2 == pytest.approx(max(os2, 0.0), rel=1e-8, abs=1e-10)
@@ -115,7 +132,7 @@ def test_prior_reversion_far_from_data():
     X = np.vstack([X, [[0.51, 0.5]]])
     y = np.array([1.0, 1.2])
     model = fixed_theta_model(X, y, np.array([100.0, 100.0]), nugget=1e-10)
-    mean, s2 = predict(model, [0.0, 0.0])
+    (mean,), (s2,) = predict_batch(model, [0.0, 0.0])
     assert mean == pytest.approx(model.mu_hat, rel=1e-6)
     assert s2 == pytest.approx(model.sigma2_hat, rel=1e-4)
 
@@ -170,7 +187,7 @@ def test_multistart_dominance():
     model = fit_gp(X, y, cfg)
 
     y_std = (y - y.mean()) / y.std()
-    powered = _pairwise_powered(X, cfg.p)
+    powered = _powered(X, X, cfg.p)
     final = _profile_nll(model.spec.theta, powered, y_std, cfg)
     lo, hi = np.log10(cfg.theta_bounds[0]), np.log10(cfg.theta_bounds[1])
     starts = lo + (hi - lo) * random_lhd(cfg.n_starts, 2, seed=cfg.seed)
@@ -179,22 +196,36 @@ def test_multistart_dominance():
 
 
 def test_mean_bank_matches_per_model_predictions():
-    from dyncal.gp import MeanBank
     X = random_lhd(20, 3, seed=1)
     models = [fit_gp(X, np.sin((k + 2) * X[:, 0]) + k * X[:, 1]) for k in range(4)]
-    models.append(fit_gp(X, np.full(20, 3.3)))  # degenerate member
+    models.insert(2, fit_gp(X, np.full(20, 2.5)))  # degenerate member
+    assert models[2].degenerate
     bank = MeanBank(models)
-    probe = random_lhd(7, 3, seed=2)
-    got_m, got_s2 = bank.means_and_vars(probe)
-    want_m = np.stack([predict_batch(m, probe)[0] for m in models], axis=1)
-    want_s2 = np.stack([predict_batch(m, probe)[1] for m in models], axis=1)
-    assert np.allclose(got_m, want_m, rtol=1e-12, atol=1e-12)
-    assert np.allclose(got_s2, want_s2, rtol=1e-10, atol=1e-14)
-    assert np.allclose(bank.means(probe), want_m, rtol=1e-12, atol=1e-12)
+    for probe in (random_lhd(7, 3, seed=2), np.array([0.3, 0.6, 0.1])):
+        got = bank.means(probe)
+        assert got.shape == (len(np.atleast_2d(probe)), len(models))
+        for k, model in enumerate(models):
+            assert np.array_equal(got[:, k], predict_batch(model, probe)[0])
+
+
+def test_mean_bank_extraction_grid_peak_memory():
+    # the extraction grid at n=120, d=5 with 24 models, as in a bliznyuk run
+    X = random_lhd(120, 5, seed=0)
+    rng = np.random.default_rng(0)
+    models = [fixed_theta_model(X, rng.normal(size=120), 10 ** rng.uniform(-1, 1, 5),
+                                nugget=1e-6) for _ in range(24)]
+    grid = np.vstack([random_lhd(10_000, 5, seed=1), X])
+    bank = MeanBank(models)
+    tracemalloc.start()
+    try:
+        bank.means(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 150e6
 
 
 def test_mean_bank_rejects_mismatched_models():
-    from dyncal.gp import MeanBank
     X1 = random_lhd(8, 2, seed=3)
     X2 = random_lhd(8, 2, seed=4)
     m1 = fit_gp(X1, X1[:, 0] ** 2)
@@ -205,17 +236,17 @@ def test_mean_bank_rejects_mismatched_models():
         MeanBank([])
 
 
-def test_serialization_round_trip(tmp_path):
+def test_build_at_fitted_spec_reproduces_predictions():
     X = random_lhd(9, 3, seed=9)
     y = X @ np.array([1.0, -2.0, 0.5]) + np.sin(6 * X[:, 0])
     model = fit_gp(X, y)
-    payload = json.loads(json.dumps(model_to_dict(model)))
-    clone = model_from_dict(payload)
+    clone = build_gp_model(X, y, CorrelationSpec(model.spec.theta.copy(), model.spec.p),
+                           model.nugget)
     probe = random_lhd(7, 3, seed=10)
     m0, s0 = predict_batch(model, probe)
     m1, s1 = predict_batch(clone, probe)
-    assert np.allclose(m0, m1, rtol=1e-12, atol=1e-14)
-    assert np.allclose(s0, s1, rtol=1e-10, atol=1e-14)
+    assert np.array_equal(m0, m1)
+    assert np.array_equal(s0, s1)
     assert clone.nugget == model.nugget
 
 
@@ -248,7 +279,7 @@ def test_profile_matches_dense_inverse_oracle(n, d):
     assert mu == pytest.approx(want_mu, rel=1e-10)
     assert sigma2 == pytest.approx(want_s2, rel=1e-10)
     assert logdet == pytest.approx(want_logdet, rel=1e-10)
-    nll = _profile_nll(theta, _pairwise_powered(X, cfg.p), y_std, cfg)
+    nll = _profile_nll(theta, _powered(X, X, cfg.p), y_std, cfg)
     assert nll == pytest.approx(want_nll, rel=1e-10)
 
 
