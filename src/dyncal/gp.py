@@ -176,12 +176,12 @@ def build_gp_model(X: np.ndarray, y: np.ndarray, spec: CorrelationSpec,
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
+    if y.max() == y.min():  # np.std of a constant can be an ulp above zero
+        return GpModel(X=X, y=y, spec=spec, mu_hat=float(y[0]), sigma2_hat=0.0,
+                       nugget=0.0, chol=None, y_mean=float(y[0]), y_scale=1.0,
+                       degenerate=True)
     y_mean = float(np.mean(y))
     y_scale = float(np.std(y))
-    if y_scale == 0.0:
-        return GpModel(X=X, y=y, spec=spec, mu_hat=y_mean, sigma2_hat=0.0,
-                       nugget=0.0, chol=None, y_mean=y_mean, y_scale=1.0,
-                       degenerate=True)
     y_std = (y - y_mean) / y_scale
     L, _ = _factor(_corr(_powered(X, X, spec.p), spec.theta), nugget, nugget)
     if L is None:
@@ -223,10 +223,10 @@ def fit_gp(X: np.ndarray, y: np.ndarray, config: FitConfig | None = None) -> GpM
     if not np.all(np.isfinite(y)):
         raise ValueError("responses must be finite")
 
+    if y.max() == y.min():
+        return build_gp_model(X, y, CorrelationSpec(np.zeros(d), cfg.p), 0.0)
     y_mean = float(np.mean(y))
     y_scale = float(np.std(y))
-    if y_scale == 0.0:
-        return build_gp_model(X, y, CorrelationSpec(np.zeros(d), cfg.p), 0.0)
     y_std = (y - y_mean) / y_scale
 
     powered = _powered(X, X, cfg.p)

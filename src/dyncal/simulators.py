@@ -9,8 +9,13 @@ simulator through a small CSV exchange protocol.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
+import shutil
+import signal
 import subprocess
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -168,10 +173,13 @@ def target_series(name: str) -> np.ndarray:
 class ExternalSimulator(Simulator):
     """Adapter running an external executable through a CSV exchange.
 
-    Protocol (all files under exchange_dir, executable run with that cwd):
-    input.csv has header x1..xd and one data row in native units; the
-    executable must exit 0 and leave output.csv with header t,value and
-    exactly L data rows of finite numbers.
+    Protocol: each run gets a fresh subdirectory of exchange_dir, and the
+    executable runs with that subdirectory as its cwd. input.csv has header
+    x1..xd and one data row in native units; the executable must exit 0 and
+    leave output.csv with header t,value and exactly L data rows of finite
+    numbers. The subdirectory is removed once its output parses and kept
+    otherwise, for diagnosis. The executable leads its own process group,
+    and a timeout kills the whole group.
     """
 
     def __init__(self, spec: SimulatorSpec, command, exchange_dir, timeout: float = 60.0):
@@ -182,26 +190,33 @@ class ExternalSimulator(Simulator):
 
     def _invoke(self, x_native, time_grid) -> np.ndarray:
         self.exchange_dir.mkdir(parents=True, exist_ok=True)
-        in_path = self.exchange_dir / "input.csv"
-        out_path = self.exchange_dir / "output.csv"
-        with open(in_path, "w", newline="") as fh:
+        run_dir = Path(tempfile.mkdtemp(prefix="run-", dir=self.exchange_dir))
+        with open(run_dir / "input.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([f"x{k + 1}" for k in range(self.spec.d)])
             writer.writerow([f"{float(v):.17g}" for v in np.atleast_1d(x_native)])
-        if out_path.exists():
-            out_path.unlink()
         try:
-            proc = subprocess.run(self.command, cwd=self.exchange_dir,
-                                  capture_output=True, text=True, timeout=self.timeout)
-        except subprocess.TimeoutExpired:
-            raise SimulatorTimeout(
-                f"simulator exceeded {self.timeout}s: {' '.join(self.command)}")
+            proc = subprocess.Popen(self.command, cwd=run_dir, stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE, text=True,
+                                    start_new_session=True)
         except OSError as exc:
             raise ProcessError(f"could not launch {' '.join(self.command)}: {exc}")
+        try:
+            _, stderr = proc.communicate(timeout=self.timeout)
+        except BaseException as exc:  # timeout or interrupt: leave no process behind
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            if isinstance(exc, subprocess.TimeoutExpired):
+                raise SimulatorTimeout(
+                    f"simulator exceeded {self.timeout}s: {' '.join(self.command)}") from None
+            raise
         if proc.returncode != 0:
             raise ProcessError(
-                f"simulator exited {proc.returncode}: {proc.stderr.strip()[:500]}")
-        return self._parse_output(out_path)
+                f"simulator exited {proc.returncode}: {stderr.strip()[:500]}")
+        values = self._parse_output(run_dir / "output.csv")
+        shutil.rmtree(run_dir)
+        return values
 
     def _parse_output(self, out_path: Path) -> np.ndarray:
         if not out_path.exists():

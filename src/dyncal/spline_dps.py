@@ -6,6 +6,13 @@ and keeps the knot that minimizes the mean squared error given all previously
 selected knots. The number of points to keep is then read off the MSE-vs-knots
 curve at its elbow. Knots are indexed on the integer grid 1..L; conversion to
 physical times is presentation only.
+
+A stage does not refit the spline once per admissible index. Adding knot c
+adds the one direction (t - c)_+^3 to the spline space, so every index is
+scored at once from an orthonormal basis of the current space, in column
+blocks of fixed width. Only the indices whose score is within a small
+tolerance of the best are refit exactly with `fit_cubic_spline`, and the
+exact fits decide: the knots and MSE path are those of refitting every index.
 """
 from __future__ import annotations
 
@@ -113,12 +120,64 @@ def fit_cubic_spline(series: TargetSeries, interior_knots) -> SplineFit:
     return SplineFit(fitted=fitted, mse=mse, ridged=ridged)
 
 
+_SCAN_BLOCK = 32  # candidate columns scored per block: the buffers stay at 2 x L x 32 floats
+_SHORTLIST_RTOL = 1e-6  # relative slack of a score over the best exact MSE
+_SHORTLIST_FLOOR = 1e-14  # absolute slack, in units of mean(y^2)
+
+
+def _insertion_scores(y: np.ndarray, knots: list[int], free: np.ndarray) -> np.ndarray:
+    """MSE of the least-squares fit after adding each free knot, in one pass.
+
+    Adding knot c to a cubic spline space adds the single direction
+    (t - c)_+^3, so with Q an orthonormal basis of the current space and
+    r = y - QQ'y the new residual sum of squares is RSS - (r'q)^2 / q'q,
+    q being the direction projected off Q. The direction is built on its
+    shorter side, (c - t)_+^3 left of the middle (equal to (t - c)_+^3 up
+    to a cubic), which keeps its norm and hence the cancellation small. The
+    candidates are scored in blocks of _SCAN_BLOCK columns written in place.
+    """
+    L = len(y)
+    t = np.arange(1.0, L + 1.0)[:, None]
+    Q = np.linalg.qr(_design_matrix(L, knots))[0]
+    r = y - Q @ (Q.T @ y)
+    rss = float(r @ r)
+    V = np.empty((L, _SCAN_BLOCK))
+    W = np.empty((L, _SCAN_BLOCK))
+    gain = np.empty(len(free))
+    mid = int(np.searchsorted(free, (L + 1) / 2.0))
+    for lo, hi, left in ((0, mid, True), (mid, len(free), False)):
+        for start in range(lo, hi, _SCAN_BLOCK):
+            stop = min(start + _SCAN_BLOCK, hi)
+            c = free[start:stop].astype(float)
+            P, T = V[:, :len(c)], W[:, :len(c)]
+            if left:
+                np.subtract(c, t, out=P)
+            else:
+                np.subtract(t, c, out=P)
+            np.maximum(P, 0.0, out=P)
+            np.multiply(P, P, out=T)
+            np.multiply(T, P, out=P)
+            for _ in range(2):  # the second pass restores orthogonality lost to rounding
+                np.matmul(Q, Q.T @ P, out=T)
+                np.subtract(P, T, out=P)
+            norm = np.sqrt(np.einsum("ij,ij->j", P, P))
+            gain[start:stop] = np.square((r @ P) / np.where(norm > 0.0, norm, np.inf))
+    return np.maximum(rss - gain, 0.0) / L
+
+
 def greedy_knot_search(series: TargetSeries, k_max: int):
     """Select up to k_max knots, each minimizing the MSE given its predecessors.
 
     Admissible positions are the interior indices {2, ..., L-1} not already
     chosen; ties go to the smallest index. Returns (ordered_knots, mse_path)
     where mse_path[0] is the knot-free cubic fit.
+
+    Each stage scores every admissible index at once (`_insertion_scores`),
+    then refits with `fit_cubic_spline` every index whose score lies within
+    _SHORTLIST_RTOL relative plus _SHORTLIST_FLOOR * mean(y^2) of the best
+    exact MSE found so far, taking them in order of score. The stage keeps the
+    smallest exact MSE, the smallest index among equal ones, and that exact
+    MSE enters mse_path, so the result is that of refitting every index.
     """
     L = len(series)
     if k_max < 1:
@@ -126,15 +185,20 @@ def greedy_knot_search(series: TargetSeries, k_max: int):
     if k_max > L - 5:
         raise ValueError(f"k_max={k_max} exceeds the fit limit for length {L}")
 
+    y = series.values
+    floor = _SHORTLIST_FLOOR * float(np.mean(y * y))
     knots: list[int] = []
     mse_path = [fit_cubic_spline(series, knots).mse]
     for _ in range(k_max):
+        free = np.setdiff1d(np.arange(2, L), knots)
+        scores = _insertion_scores(y, knots, free)
         best_idx, best_mse = None, np.inf
-        for cand in range(2, L):
-            if cand in knots:
-                continue
+        for j in np.argsort(scores, kind="stable"):
+            if scores[j] > best_mse * (1.0 + _SHORTLIST_RTOL) + floor:
+                break
+            cand = int(free[j])
             mse = fit_cubic_spline(series, knots + [cand]).mse
-            if mse < best_mse:
+            if mse < best_mse or (mse == best_mse and cand < best_idx):
                 best_mse, best_idx = mse, cand
         knots.append(best_idx)
         mse_path.append(best_mse)

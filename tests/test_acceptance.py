@@ -277,7 +277,7 @@ def test_criterion_11_greedy_stage_one_oracle():
 
 
 def test_criterion_12_external_simulator_round_trip(tmp_path):
-    # the wrapper runs with the exchange dir as its cwd, so a relative
+    # the wrapper runs in a subdirectory of the exchange dir, so a relative
     # PYTHONPATH entry would not find dyncal there; name this copy absolutely
     package_parent = str(Path(dyncal.__file__).resolve().parent.parent)
     wrapper = tmp_path / "easom_wrapper.py"

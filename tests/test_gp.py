@@ -149,6 +149,20 @@ def test_constant_response_degenerate_model():
     assert np.all(s2 == 0.0)
 
 
+def test_inexact_constant_response_is_degenerate_without_optimizing(monkeypatch):
+    import dyncal.gp as gp
+    calls = []
+    real = gp._profile_nll
+    monkeypatch.setattr(gp, "_profile_nll", lambda *a: calls.append(1) or real(*a))
+    y = np.full(20, 3.3)  # np.std(y) is 4.4e-16, not zero
+    model = fit_gp(random_lhd(20, 2, seed=4), y)
+    assert model.degenerate
+    means, s2 = predict_batch(model, random_lhd(10, 2, seed=5))
+    assert np.all(means == 3.3)
+    assert np.all(s2 == 0.0)
+    assert calls == []
+
+
 def test_fit_rejects_bad_inputs():
     with pytest.raises(ValueError):
         fit_gp(np.array([[0.1]]), np.array([1.0]))

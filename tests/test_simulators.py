@@ -1,7 +1,10 @@
 import math
+import os
 import stat
 import sys
 import textwrap
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -141,6 +144,7 @@ def test_external_constant_echo(tmp_path):
     out = sim.run([0.5, 0.5])
     assert np.array_equal(out, np.full(5, 7.25))
     assert sim.calls == 1
+    assert list((tmp_path / "xchg").iterdir()) == []  # run directory removed
 
 
 def test_external_wrong_row_count(tmp_path):
@@ -153,6 +157,9 @@ def test_external_wrong_row_count(tmp_path):
     sim = ExternalSimulator(_tiny_spec(), [exe], tmp_path / "xchg")
     with pytest.raises(ProtocolError, match="expected 5"):
         sim.run([0.5, 0.5])
+    kept = list((tmp_path / "xchg").iterdir())  # failed run kept for diagnosis
+    assert len(kept) == 1
+    assert sorted(p.name for p in kept[0].iterdir()) == ["input.csv", "output.csv"]
 
 
 def test_external_nonzero_exit(tmp_path):
@@ -205,6 +212,68 @@ def test_external_timeout(tmp_path):
     sim = ExternalSimulator(_tiny_spec(), [exe], tmp_path / "xchg", timeout=0.5)
     with pytest.raises(SimulatorTimeout):
         sim.run([0.5, 0.5])
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:  # an unreaped zombie still answers kill(pid, 0)
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_external_timeout_kills_process_group(tmp_path):
+    sim = ExternalSimulator(_tiny_spec(), ["sh", "-c", "sleep 30 & echo $! > pid; wait"],
+                            tmp_path / "xchg", timeout=0.5)
+    start = time.monotonic()
+    with pytest.raises(SimulatorTimeout):
+        sim.run([0.5, 0.5])
+    assert time.monotonic() - start < 10.0
+    (run_dir,) = (tmp_path / "xchg").iterdir()
+    pid = int((run_dir / "pid").read_text())
+    deadline = time.monotonic() + 5.0
+    while _alive(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _alive(pid)
+
+
+def test_external_simulators_sharing_exchange_dir_stay_apart(tmp_path):
+    # each run waits until both have started, so both inputs are written
+    # before either is read
+    barrier = tmp_path / "barrier"
+    barrier.mkdir()
+    exe = _write_executable(tmp_path / "sim.py", f"""
+        import csv, os, time
+        open(os.path.join({str(barrier)!r}, str(os.getpid())), "w").close()
+        deadline = time.monotonic() + 10.0
+        while len(os.listdir({str(barrier)!r})) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with open("input.csv") as fh:
+            x1 = float(list(csv.reader(fh))[1][0])
+        with open("output.csv", "w") as fh:
+            fh.write("t,value\\n")
+            for i in range(5):
+                fh.write(f"{{i+1}},{{x1}}\\n")
+    """)
+    sims = [ExternalSimulator(_tiny_spec(), [exe], tmp_path / "xchg") for _ in range(2)]
+    inputs = [0.25, 0.75]
+    results = [None, None]
+
+    def run(k):
+        results[k] = sims[k].run([inputs[k], 0.5])
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=30.0)
+        assert not th.is_alive()
+    assert np.array_equal(results[0], np.full(5, 0.25))
+    assert np.array_equal(results[1], np.full(5, 0.75))
 
 
 def test_external_reads_native_inputs(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyncal.simulators import target_series
 from dyncal.spline_dps import (DpsResult, TargetSeries, build_dps,
@@ -117,6 +119,50 @@ def test_greedy_stage_one_is_exhaustive_scan():
     assert path[1] == best_mse
 
 
+def _brute_force_scan(series, k_max):
+    """Reference greedy scan: refit every admissible knot at every stage."""
+    L = len(series)
+    knots = []
+    mse_path = [fit_cubic_spline(series, knots).mse]
+    for _ in range(k_max):
+        best_idx, best_mse = None, np.inf
+        for cand in range(2, L):
+            if cand in knots:
+                continue
+            mse = fit_cubic_spline(series, knots + [cand]).mse
+            if mse < best_mse:
+                best_mse, best_idx = mse, cand
+        knots.append(best_idx)
+        mse_path.append(best_mse)
+    return knots, np.asarray(mse_path)
+
+
+def _scan_series(kind, L, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "walk":
+        return np.cumsum(rng.normal(size=L))
+    if kind == "constant":
+        return np.full(L, rng.uniform(-5.0, 5.0))
+    if kind == "piecewise":
+        breaks = np.sort(rng.uniform(1.0, L, size=rng.integers(1, 5)))
+        xp = np.concatenate([[1.0], breaks, [float(L)]])
+        return np.interp(np.arange(1.0, L + 1.0), xp, rng.normal(size=len(xp)))
+    half = np.cumsum(rng.normal(size=(L + 1) // 2))  # symmetric about the middle
+    return np.concatenate([half, half[: L // 2][::-1]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["walk", "constant", "piecewise", "symmetric"]),
+       L=st.integers(8, 120), k_frac=st.floats(0.0, 1.0), seed=st.integers(0, 10_000))
+def test_greedy_scan_matches_brute_force(kind, L, k_frac, seed):
+    k_max = 1 + int(k_frac * (min(6, L - 5) - 1))
+    series = TargetSeries(_scan_series(kind, L, seed))
+    knots, path = greedy_knot_search(series, k_max)
+    ref_knots, ref_path = _brute_force_scan(series, k_max)
+    assert knots == ref_knots
+    assert np.array_equal(path, ref_path)
+
+
 def test_greedy_mse_path_non_increasing():
     rng = np.random.default_rng(8)
     values = np.cumsum(rng.normal(size=50))
@@ -181,7 +227,10 @@ def test_long_series_dps_selection():
     # synthetic long-series fixture at the scale of real hydrological output
     xs = np.linspace(0.0, 1.0, 5000)
     values = np.exp(-80 * (xs - 0.3) ** 2) + 0.6 * np.exp(-400 * (xs - 0.62) ** 2)
-    result = build_dps(TargetSeries(values), k_max=3)
+    series = TargetSeries(values)
+    result = build_dps(series, k_max=3)
     assert len(result.ordered_knots) == 3
     assert all(1 < t < 5000 for t in result.ordered_knots)
     assert np.all(np.diff(result.mse_path) <= 0)
+    for i, mse in enumerate(result.mse_path):
+        assert mse == fit_cubic_spline(series, result.ordered_knots[:i]).mse
