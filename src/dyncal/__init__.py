@@ -12,8 +12,7 @@ from .calibrate import (BudgetError, CalibrationResult, MsceConfig,
                         extract_solution, hm_run, msce_run,
                         solve_scalar_contour, write_run_artifacts)
 from .designs import (is_latin_hypercube, maximin_lhd, maxpro_criterion,
-                      maxpro_lhd, min_pairwise_distance, random_lhd,
-                      save_design_csv)
+                      maxpro_lhd, min_pairwise_distance, random_lhd)
 from .gp import (CorrelationSpec, FitConfig, FitError, GpModel,
                  build_gp_model, fit_gp, predict_batch)
 from .metrics import (ConstantTargetError, NormD, evaluate_all,

@@ -18,6 +18,7 @@ a stream derived from (seed, purpose, index).
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -32,6 +33,9 @@ from .simulators import Simulator
 from .spline_dps import DpsResult, TargetSeries, build_dps
 
 DUPLICATE_TOL = 1e-10
+_INTEGER_FIELDS = ("n0", "N", "seed", "k_max", "M", "grid_size", "design_iterations",
+                   "hm_stage_cap", "hm_stage_limit")
+_REAL_FIELDS = ("alpha", "epsilon")
 
 
 class BudgetError(ValueError):
@@ -57,10 +61,22 @@ class MsceConfig:
     hm_stage_limit: int = 10
 
     def __post_init__(self):
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not (2 <= self.n0 < self.N):
             raise BudgetError(f"need 2 <= n0 < N, got n0={self.n0}, N={self.N}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        if self.alpha <= 0:
+            raise ValueError("alpha must be positive")
+        if self.design_iterations < 0:
+            raise ValueError(f"design_iterations must be >= 0, got {self.design_iterations}")
         if self.M < 100:
             raise ValueError("candidate-set size M must be at least 100")
         if self.initial_design not in ("maxpro", "maximin", "random"):

@@ -5,9 +5,20 @@ candidate/test sets for acquisition sweeps, while maximin- and MaxPro-optimized
 LHDs are used as initial designs for the sequential calibration loops. All
 designs live in [0,1]^d, one point per stratum [i/n, (i+1)/n) in every
 dimension.
+
+The optimized designs come from one exchange search (Jin, Chen & Sudjianto
+2005; Joseph, Gul & Ba 2015): swap two entries of one column, keep the swap
+by simulated-annealing acceptance. The search keeps the value of every pair
+of rows in one vector, so a swap of rows i and j recomputes only the 2(n - 2)
+pairs that involve them, and the cost is still taken over the whole vector:
+every cost is bit-equal to `maxpro_criterion` or `-min_pairwise_distance` of
+the current design. The draws per iteration are fixed (a column, two rows,
+and an acceptance draw only for an uphill swap), so a seed gives the same
+design.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -69,12 +80,47 @@ def min_pairwise_distance(points: np.ndarray) -> float:
 
 @lru_cache(maxsize=16)
 def _pair_indices(n: int):
-    """Row indices (i, j) of all pairs i < j; read-only, cached because the
-    exchange search evaluates the criterion thousands of times at one n."""
+    """Row indices (i, j) of all pairs i < j, in `triu_indices` order; read-only,
+    cached because every exchange search at one n starts from them."""
     pairs = np.triu_indices(n, k=1)
     for idx in pairs:
         idx.flags.writeable = False
     return pairs
+
+
+def _inverse_products(diff: np.ndarray) -> np.ndarray:
+    """MaxPro pair values 1 / prod_k diff_k^2, one per row of coordinate
+    differences; squares diff in place."""
+    np.multiply(diff, diff, out=diff)
+    return np.divide(1.0, np.multiply.reduce(diff, axis=1))
+
+
+def _maxpro_cost(values: np.ndarray, d: int) -> float:
+    """psi(D) from the pair values of every pair."""
+    return float((np.add.reduce(values) / len(values)) ** (1.0 / d))
+
+
+def _squared_distances(diff: np.ndarray) -> np.ndarray:
+    """Squared Euclidean lengths of the rows of diff, the squares summed column
+    by column as `pdist` sums them; squares diff in place."""
+    np.multiply(diff, diff, out=diff)
+    total = diff[:, 0].copy()
+    for k in range(1, diff.shape[1]):
+        total += diff[:, k]
+    return total
+
+
+def _maximin_cost(values: np.ndarray, d: int) -> float:
+    """Minus the smallest distance. sqrt is correctly rounded and so monotone:
+    the root of the smallest squared distance is the smallest distance."""
+    return -math.sqrt(np.minimum.reduce(values))
+
+
+# criterion name -> (pair values from coordinate differences, cost from all pair values)
+_CRITERIA = {
+    "maxpro": (_inverse_products, _maxpro_cost),
+    "maximin": (_squared_distances, _maximin_cost),
+}
 
 
 def maxpro_criterion(points: np.ndarray) -> float:
@@ -89,23 +135,45 @@ def maxpro_criterion(points: np.ndarray) -> float:
     if n < 2:
         raise ValueError("MaxPro criterion needs at least 2 points")
     i, j = _pair_indices(n)
-    prods = np.prod((points[i] - points[j]) ** 2, axis=1)
-    if np.any(prods == 0.0):
-        return np.inf
-    avg = np.sum(1.0 / prods) / (n * (n - 1) / 2)
-    return float(avg ** (1.0 / d))
+    with np.errstate(divide="ignore"):
+        return _maxpro_cost(_inverse_products(points[i] - points[j]), d)
 
 
-def _exchange_optimize(points, cost, rng, iterations):
+def _touching_pairs(n: int, i: int, j: int):
+    """The pairs (i, c) and (j, c), c not in {i, j}: their positions in
+    `triu_indices` order and the rows at their two ends."""
+    rest = np.delete(np.arange(n), [i, j])
+    ends = np.repeat([i, j], n - 2)
+    others = np.concatenate([rest, rest])
+    lo, hi = np.minimum(ends, others), np.maximum(ends, others)
+    positions = lo * n - lo * (lo + 1) // 2 + (hi - lo - 1)
+    return positions, ends, others
+
+
+def _exchange_optimize(points, criterion, rng, iterations):
     """Within-column swap search with simulated-annealing acceptance.
 
     Proposes swapping two entries of one randomly chosen column, which
     preserves the LHD property. Keeps the best design ever seen, so the
     returned design is never worse than the start.
+
+    The values of every pair are kept in one vector, in `triu_indices` order:
+    1 / prod(diff^2) for "maxpro", the squared distance for "maximin". A swap
+    of rows i and j changes only the 2(n - 2) pairs (i, c) and (j, c), so
+    only those are recomputed (their positions are cached per row pair), and
+    a rejected swap puts the old values back. The cost is still taken over
+    the whole vector (its sum for MaxPro, its minimum for maximin), so every
+    cost is bit-equal to `maxpro_criterion` or `-min_pairwise_distance` of the
+    current design. Each iteration draws `rng.integers(d)` and
+    `rng.choice(n, 2, replace=False)`, and one `rng.random()` only for an
+    uphill proposal: a given stream gives the same design.
     """
+    pair_values, cost = _CRITERIA[criterion]
     current = np.array(points, dtype=float)
     n, d = current.shape
-    cur_cost = cost(current)
+    a, b = _pair_indices(n)
+    values = pair_values(current[a] - current[b])
+    cur_cost = cost(values, d)
     best = current.copy()
     best_cost = cur_cost
 
@@ -115,21 +183,27 @@ def _exchange_optimize(points, cost, rng, iterations):
     decay = (tf / t0) ** (1.0 / max(iterations, 1))
     temp = t0
 
+    touching = {}
     for _ in range(iterations):
         k = rng.integers(d)
-        i, j = rng.choice(n, size=2, replace=False)
-        current[[i, j], k] = current[[j, i], k]
-        new_cost = cost(current)
-        accept = new_cost <= cur_cost or rng.uniform() < np.exp(
-            -(new_cost - cur_cost) / temp
-        )
-        if accept:
+        i, j = rng.choice(n, size=2, replace=False).tolist()
+        key = i * n + j if i < j else j * n + i
+        pairs = touching.get(key)
+        if pairs is None:
+            pairs = touching[key] = _touching_pairs(n, i, j)
+        positions, ends, others = pairs
+        current[i, k], current[j, k] = current[j, k], current[i, k]
+        old = values.take(positions)
+        values[positions] = pair_values(current.take(ends, 0) - current.take(others, 0))
+        new_cost = cost(values, d)
+        if new_cost <= cur_cost or rng.random() < np.exp(-(new_cost - cur_cost) / temp):
             cur_cost = new_cost
             if new_cost < best_cost:
                 best_cost = new_cost
                 best = current.copy()
         else:
-            current[[i, j], k] = current[[j, i], k]  # undo
+            current[i, k], current[j, k] = current[j, k], current[i, k]  # undo
+            values[positions] = old
         temp *= decay
     return best
 
@@ -144,7 +218,7 @@ def maximin_lhd(n: int, d: int, seed=None, iterations: int = 10_000) -> np.ndarr
         raise ValueError("maximin design needs n >= 2 (min distance undefined)")
     rng = _rng(seed)
     start = random_lhd(n, d, rng)
-    return _exchange_optimize(start, lambda p: -min_pairwise_distance(p), rng, iterations)
+    return _exchange_optimize(start, "maximin", rng, iterations)
 
 
 def maxpro_lhd(n: int, d: int, seed=None, iterations: int = 10_000) -> np.ndarray:
@@ -153,14 +227,5 @@ def maxpro_lhd(n: int, d: int, seed=None, iterations: int = 10_000) -> np.ndarra
         raise ValueError("MaxPro design needs n >= 2")
     rng = _rng(seed)
     start = random_lhd(n, d, rng)
-    return _exchange_optimize(start, maxpro_criterion, rng, iterations)
+    return _exchange_optimize(start, "maxpro", rng, iterations)
 
-
-def save_design_csv(points: np.ndarray, path) -> None:
-    """Write a design as CSV with header x1..xd, one row per point."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    header = ",".join(f"x{k + 1}" for k in range(points.shape[1]))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in points:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -19,6 +19,9 @@ the concentrated likelihood (Roustant, Ginsbourger & Deville 2012) needs only
     mu = b'a / b'b,   w = a - mu b,   sigma2 = w'w / n,   log|R| = 2 sum log diag L,
 
 and the prediction weights are alpha = L^-T w, one more triangular solve.
+A fit allocates one `_Workspace` and every likelihood evaluation reuses it:
+R is refilled in place, the nugget goes into a view of its diagonal, and the
+right-hand side [y, 1] is written once.
 
 The kernel is written once: `_powered` gives |a_k - b_k|^p for every pair of
 rows, and `_corr` turns those into correlations for one theta. Fitting,
@@ -68,10 +71,18 @@ def _powered(A: np.ndarray, B: np.ndarray, p: float) -> np.ndarray:
     return np.abs(A[:, None, :] - B[None, :, :]) ** p
 
 
-def _corr(powered: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Power-exponential correlations from the powered distances, shape (n_A, n_B)."""
+def _corr(powered: np.ndarray, theta: np.ndarray,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """Power-exponential correlations from the powered distances, shape (n_A, n_B).
+
+    Written into out (contiguous, shape (n_A, n_B)) when it is given.
+    """
     n_a, n_b, d = powered.shape
-    return np.exp(-(powered.reshape(-1, d) @ theta)).reshape(n_a, n_b)
+    flat = np.matmul(powered.reshape(-1, d), theta,
+                     out=None if out is None else out.reshape(-1))
+    np.negative(flat, out=flat)
+    np.exp(flat, out=flat)
+    return flat.reshape(n_a, n_b)
 
 
 @dataclass
@@ -115,18 +126,40 @@ class GpModel:
         return self.X.shape[1]
 
 
-def _factor(R: np.ndarray, start: float, cap: float):
-    """Lower Cholesky factor of R + nugget*I, escalating the nugget tenfold up to cap.
+class _Workspace:
+    """Buffers for the likelihood evaluations of one fit, allocated once.
 
-    Writes the nugget into R's diagonal in place. Returns (L, nugget), with
-    L None when R is not positive definite even at the cap.
+    powered: the powered distances of the training inputs, shape (n, n, d).
+    R: the n x n correlation matrix, refilled in place for every theta.
+    diagonal: a writable strided view of R's diagonal, where the nugget goes.
+    rhs: the right-hand side [y, 1] of the triangular solve, Fortran order.
     """
-    n = R.shape[0]
-    base = R.diagonal().copy()
+
+    def __init__(self, powered: np.ndarray, y_std: np.ndarray):
+        n = len(y_std)
+        self.powered = powered
+        self.R = np.empty((n, n))
+        self.diagonal = self.R.reshape(-1)[::n + 1]
+        self.rhs = np.empty((n, 2), order="F")
+        self.rhs[:, 0] = y_std
+        self.rhs[:, 1] = 1.0
+
+
+def _factor(ws: _Workspace, theta: np.ndarray, start: float, cap: float,
+            clean: bool = True):
+    """Lower Cholesky factor of R(theta) + nugget*I, escalating the nugget tenfold up to cap.
+
+    Fills ws.R with the correlations and writes the nugget into its diagonal.
+    Returns (L, nugget), with L None when R is not positive definite even at
+    the cap. With clean=False the upper triangle of L is left as potrf leaves
+    it, which only the triangular solves of the fit ever read past.
+    """
+    _corr(ws.powered, theta, out=ws.R)
+    base = ws.diagonal.copy()
     nugget = start
     while True:
-        R.flat[::n + 1] = base + nugget
-        L, info = dpotrf(R, lower=1)
+        np.add(base, nugget, out=ws.diagonal)
+        L, info = dpotrf(ws.R, lower=1, clean=clean)
         if info == 0:
             return L, nugget
         if nugget >= cap:
@@ -134,37 +167,43 @@ def _factor(R: np.ndarray, start: float, cap: float):
         nugget = min(nugget * 10.0, cap)
 
 
-def _profile(L: np.ndarray, y_std: np.ndarray):
+def _profile(L: np.ndarray, rhs: np.ndarray):
     """Profile estimates from the Cholesky factor L of the correlation matrix.
 
-    Returns (mu, sigma2, logdet, w): the generalized-least-squares mean, the
-    profile variance, log|R| and the whitened residual w = L^-1 (y - mu 1).
+    rhs is the workspace's [y, 1]. Returns (mu, sigma2, logdet, w): the
+    generalized-least-squares mean, the profile variance, log|R| and the
+    whitened residual w = L^-1 (y - mu 1).
     """
-    n = len(y_std)
-    rhs = np.empty((n, 2), order="F")
-    rhs[:, 0] = y_std
-    rhs[:, 1] = 1.0
     ab, _ = dtrtrs(L, rhs, lower=1)
     a, b = ab[:, 0], ab[:, 1]
     mu = (b @ a) / (b @ b)
     w = a - mu * b
-    sigma2 = (w @ w) / n
-    logdet = 2.0 * np.sum(np.log(np.diag(L)))
+    sigma2 = (w @ w) / len(w)
+    logdet = 2.0 * np.add.reduce(np.log(L.diagonal()))
     return mu, sigma2, logdet, w
 
 
 _NLL_BAD = 1e25  # finite sentinel so simplex arithmetic stays warning-free
 
 
-def _profile_nll(theta, powered, y_std, cfg):
+def _profile_nll(theta, ws: _Workspace, cfg: FitConfig):
     """Negative profile log-likelihood (up to constants): n log s2 + log|R|."""
-    L, _ = _factor(_corr(powered, theta), cfg.nugget_start, cfg.nugget_cap)
+    L, _ = _factor(ws, theta, cfg.nugget_start, cfg.nugget_cap, clean=False)
     if L is None:
         return _NLL_BAD
-    _, sigma2, logdet, _ = _profile(L, y_std)
+    _, sigma2, logdet, _ = _profile(L, ws.rhs)
     if not sigma2 > 0:  # also rejects NaN
         return _NLL_BAD
-    return len(y_std) * np.log(sigma2) + logdet
+    return len(ws.rhs) * np.log(sigma2) + logdet
+
+
+def _nll_log10(log_theta, ws: _Workspace, lo: float, hi: float, cfg: FitConfig):
+    """The fitting objective: `_profile_nll` at theta = 10^log_theta, and
+    `_NLL_BAD` when a coordinate lies outside the box [lo, hi]."""
+    for v in log_theta.tolist():
+        if v < lo or v > hi:
+            return _NLL_BAD
+    return _profile_nll(10.0 ** log_theta, ws, cfg)
 
 
 def build_gp_model(X: np.ndarray, y: np.ndarray, spec: CorrelationSpec,
@@ -183,10 +222,11 @@ def build_gp_model(X: np.ndarray, y: np.ndarray, spec: CorrelationSpec,
     y_mean = float(np.mean(y))
     y_scale = float(np.std(y))
     y_std = (y - y_mean) / y_scale
-    L, _ = _factor(_corr(_powered(X, X, spec.p), spec.theta), nugget, nugget)
+    ws = _Workspace(_powered(X, X, spec.p), y_std)
+    L, _ = _factor(ws, spec.theta, nugget, nugget)
     if L is None:
         raise FitError(f"correlation matrix not positive definite at nugget {nugget}")
-    mu_std, sigma2_std, _, w = _profile(L, y_std)
+    mu_std, sigma2_std, _, w = _profile(L, ws.rhs)
     alpha, _ = dtrtrs(L, w, lower=1, trans=1)
     return GpModel(
         X=X, y=y, spec=spec,
@@ -229,20 +269,15 @@ def fit_gp(X: np.ndarray, y: np.ndarray, config: FitConfig | None = None) -> GpM
     y_scale = float(np.std(y))
     y_std = (y - y_mean) / y_scale
 
-    powered = _powered(X, X, cfg.p)
+    ws = _Workspace(_powered(X, X, cfg.p), y_std)
     lo, hi = np.log10(cfg.theta_bounds[0]), np.log10(cfg.theta_bounds[1])
-
-    def nll_log10(lt):
-        if np.any(lt < lo) or np.any(lt > hi):
-            return _NLL_BAD
-        return _profile_nll(10.0 ** lt, powered, y_std, cfg)
 
     starts = lo + (hi - lo) * random_lhd(cfg.n_starts, d, seed=cfg.seed)
     best = None
     for idx, s in enumerate(starts):
-        res = minimize(nll_log10, s, method="Nelder-Mead",
-                       options={"maxfev": cfg.max_evals_per_start,
-                                "xatol": 1e-3, "fatol": 1e-8})
+        res = minimize(_nll_log10, s, args=(ws, float(lo), float(hi), cfg),
+                       method="Nelder-Mead", options={"maxfev": cfg.max_evals_per_start,
+                                                      "xatol": 1e-3, "fatol": 1e-8})
         cand = (res.fun, idx, res.x)
         if best is None or cand[0] < best[0]:
             best = cand
@@ -250,7 +285,7 @@ def fit_gp(X: np.ndarray, y: np.ndarray, config: FitConfig | None = None) -> GpM
     theta = 10.0 ** np.clip(best[2], lo, hi)
     spec = CorrelationSpec(theta, cfg.p)
 
-    _, nugget = _factor(_corr(powered, theta), cfg.nugget_start, cfg.nugget_cap)
+    _, nugget = _factor(ws, theta, cfg.nugget_start, cfg.nugget_cap, clean=False)
     return build_gp_model(X, y, spec, nugget)
 
 

@@ -50,7 +50,6 @@ class TargetSeries:
 class SplineFit:
     fitted: np.ndarray
     mse: float
-    ridged: bool = False
 
 
 @dataclass
@@ -96,8 +95,9 @@ def fit_cubic_spline(series: TargetSeries, interior_knots) -> SplineFit:
     """Least-squares cubic spline fit with the given interior knots.
 
     Knots are time indices strictly inside (1, L), distinct. If the design is
-    rank deficient (pathologically clustered knots), the normal equations are
-    solved with a 1e-10 ridge and the result is flagged.
+    numerically rank deficient, the normal equations are solved with a 1e-10
+    ridge instead. Runs of adjacent knots next to t = 1 do that: on L = 200,
+    the knots 2, 3, ..., 24 already leave lstsq one rank short.
     """
     L = len(series)
     knots = sorted(int(k) for k in interior_knots)
@@ -111,13 +111,12 @@ def fit_cubic_spline(series: TargetSeries, interior_knots) -> SplineFit:
     A = _design_matrix(L, knots)
     y = series.values
     coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
-    ridged = rank < A.shape[1]
-    if ridged:
+    if rank < A.shape[1]:
         G = A.T @ A + 1e-10 * np.eye(A.shape[1])
         coef = np.linalg.solve(G, A.T @ y)
     fitted = A @ coef
     mse = float(np.mean((y - fitted) ** 2))
-    return SplineFit(fitted=fitted, mse=mse, ridged=ridged)
+    return SplineFit(fitted=fitted, mse=mse)
 
 
 _SCAN_BLOCK = 32  # candidate columns scored per block: the buffers stay at 2 x L x 32 floats

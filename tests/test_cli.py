@@ -95,6 +95,26 @@ def test_calibrate_budget_error_exit_code(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("design_iterations", 1.5, "must be an integer"), ("n0", 6.0, "must be an integer"),
+    ("M", 5000.0, "must be an integer"), ("k_max", True, "must be an integer"),
+    ("epsilon", "1e-5", "must be a number"), ("alpha", None, "must be a number"),
+])
+def test_calibrate_mistyped_field_is_config_error(tmp_path, capsys, field, value, message):
+    cfg = toy_calibrate_config(tmp_path, **{field: value})
+    rc = cli.main(["calibrate", cfg, "--out-dir", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    assert f"{field} {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_calibrate_negative_design_iterations_is_config_error(tmp_path, capsys):
+    cfg = toy_calibrate_config(tmp_path, design_iterations=-1)
+    rc = cli.main(["calibrate", cfg, "--out-dir", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    assert "design_iterations must be >= 0" in capsys.readouterr().err
+
+
 def test_runtime_error_exits_one_without_traceback(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("dyncal.calibrate._is_duplicate", lambda x, X: True)
     cfg = toy_calibrate_config(tmp_path)

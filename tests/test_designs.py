@@ -2,13 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyncal.designs import (_exchange_optimize, is_latin_hypercube,
                             maximin_lhd, maxpro_criterion, maxpro_lhd,
-                            min_pairwise_distance, random_lhd,
-                            save_design_csv)
+                            min_pairwise_distance, random_lhd)
 
 
 def test_random_lhd_quarter_strata():
@@ -96,15 +95,59 @@ def _brute_force_optimum(cost):
 def test_maximin_exhaustive_permutation_oracle():
     cost = lambda pts: -min_pairwise_distance(pts)
     truth = _brute_force_optimum(cost)
-    out = _exchange_optimize(_grid_3x2(), cost, np.random.default_rng(5), 3000)
+    out = _exchange_optimize(_grid_3x2(), "maximin", np.random.default_rng(5), 3000)
     assert cost(out) == pytest.approx(truth, rel=1e-12)
 
 
 def test_maxpro_exhaustive_permutation_oracle():
     truth = _brute_force_optimum(maxpro_criterion)
-    out = _exchange_optimize(_grid_3x2(), maxpro_criterion,
-                             np.random.default_rng(5), 3000)
+    out = _exchange_optimize(_grid_3x2(), "maxpro", np.random.default_rng(5), 3000)
     assert maxpro_criterion(out) == pytest.approx(truth, rel=1e-12)
+
+
+def _reference_exchange(points, cost, rng, iterations):
+    """The exchange search recomputing the whole criterion after every swap."""
+    current = np.array(points, dtype=float)
+    n, d = current.shape
+    cur_cost = cost(current)
+    best = current.copy()
+    best_cost = cur_cost
+    t0 = 0.1 * (abs(cur_cost) + 1e-12)
+    tf = 1e-6 * t0
+    decay = (tf / t0) ** (1.0 / max(iterations, 1))
+    temp = t0
+    for _ in range(iterations):
+        k = rng.integers(d)
+        i, j = rng.choice(n, size=2, replace=False)
+        current[[i, j], k] = current[[j, i], k]
+        new_cost = cost(current)
+        accept = new_cost <= cur_cost or rng.uniform() < np.exp(
+            -(new_cost - cur_cost) / temp
+        )
+        if accept:
+            cur_cost = new_cost
+            if new_cost < best_cost:
+                best_cost = new_cost
+                best = current.copy()
+        else:
+            current[[i, j], k] = current[[j, i], k]
+        temp *= decay
+    return best
+
+
+@given(n=st.integers(2, 20), d=st.integers(1, 5), iterations=st.integers(50, 500),
+       criterion=st.sampled_from(["maximin", "maxpro"]), seed=st.integers(0, 2**31))
+@example(n=2, d=3, iterations=50, criterion="maximin", seed=0)
+@example(n=2, d=1, iterations=50, criterion="maxpro", seed=1)
+@settings(max_examples=100, deadline=None)
+def test_incremental_exchange_matches_full_recompute(n, d, iterations, criterion, seed):
+    optimize, cost = {
+        "maximin": (maximin_lhd, lambda pts: -min_pairwise_distance(pts)),
+        "maxpro": (maxpro_lhd, maxpro_criterion),
+    }[criterion]
+    rng = np.random.default_rng(seed)
+    want = _reference_exchange(random_lhd(n, d, rng), cost, rng, iterations)
+    assert np.array_equal(optimize(n, d, seed=seed, iterations=iterations), want)
 
 
 def test_maxpro_criterion_infinite_on_shared_coordinate():
@@ -117,12 +160,3 @@ def test_initial_design_sizes_from_experiments():
     assert maximin_lhd(15, 2, seed=1, iterations=500).shape == (15, 2)
     assert maxpro_lhd(18, 3, seed=1, iterations=500).shape == (18, 3)
 
-
-def test_csv_export_round_trip(tmp_path):
-    pts = random_lhd(6, 3, seed=2)
-    path = tmp_path / "design.csv"
-    save_design_csv(pts, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x1,x2,x3"
-    back = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    assert np.array_equal(back, pts)

@@ -3,11 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from dyncal.designs import random_lhd
-from dyncal.gp import (CorrelationSpec, FitConfig, FitError, MeanBank,
+from dyncal.gp import (DEFAULT_P, CorrelationSpec, FitConfig, FitError, MeanBank,
                        build_gp_model, fit_gp, predict_batch, _corr, _factor,
-                       _powered, _profile, _profile_nll)
+                       _nll_log10, _NLL_BAD, _powered, _profile, _profile_nll,
+                       _Workspace)
 from dyncal.simulators import get_simulator
 from dyncal.designs import maximin_lhd
 
@@ -154,13 +156,24 @@ def test_inexact_constant_response_is_degenerate_without_optimizing(monkeypatch)
     calls = []
     real = gp._profile_nll
     monkeypatch.setattr(gp, "_profile_nll", lambda *a: calls.append(1) or real(*a))
+    X = random_lhd(20, 2, seed=4)
     y = np.full(20, 3.3)  # np.std(y) is 4.4e-16, not zero
-    model = fit_gp(random_lhd(20, 2, seed=4), y)
+    model = fit_gp(X, y)
     assert model.degenerate
     means, s2 = predict_batch(model, random_lhd(10, 2, seed=5))
     assert np.all(means == 3.3)
     assert np.all(s2 == 0.0)
     assert calls == []
+    # on a real fit the counter sees every evaluation inside the box
+    points = []
+    real_objective = gp._nll_log10
+    monkeypatch.setattr(gp, "_nll_log10",
+                        lambda lt, *a: points.append(lt.copy()) or real_objective(lt, *a))
+    fit_gp(X, np.sin(4 * X[:, 0]))
+    lo, hi = np.log10(FitConfig().theta_bounds)
+    in_box = sum(bool(np.all((lt >= lo) & (lt <= hi))) for lt in points)
+    assert 0 < in_box < len(points)
+    assert len(calls) == in_box
 
 
 def test_fit_rejects_bad_inputs():
@@ -201,12 +214,12 @@ def test_multistart_dominance():
     model = fit_gp(X, y, cfg)
 
     y_std = (y - y.mean()) / y.std()
-    powered = _powered(X, X, cfg.p)
-    final = _profile_nll(model.spec.theta, powered, y_std, cfg)
+    ws = _Workspace(_powered(X, X, cfg.p), y_std)
+    final = _profile_nll(model.spec.theta, ws, cfg)
     lo, hi = np.log10(cfg.theta_bounds[0]), np.log10(cfg.theta_bounds[1])
     starts = lo + (hi - lo) * random_lhd(cfg.n_starts, 2, seed=cfg.seed)
     for s in starts:
-        assert final <= _profile_nll(10.0 ** s, powered, y_std, cfg) + 1e-9
+        assert final <= _profile_nll(10.0 ** s, ws, cfg) + 1e-9
 
 
 def test_mean_bank_matches_per_model_predictions():
@@ -287,13 +300,14 @@ def test_profile_matches_dense_inverse_oracle(n, d):
     want_mu, want_s2, want_logdet, want_nll = dense_profile(
         R + cfg.nugget_start * np.eye(n), y_std)
 
-    L, nugget = _factor(R.copy(), cfg.nugget_start, cfg.nugget_cap)
+    ws = _Workspace(_powered(X, X, cfg.p), y_std)
+    L, nugget = _factor(ws, theta, cfg.nugget_start, cfg.nugget_cap)
     assert nugget == cfg.nugget_start
-    mu, sigma2, logdet, _ = _profile(L, y_std)
+    mu, sigma2, logdet, _ = _profile(L, ws.rhs)
     assert mu == pytest.approx(want_mu, rel=1e-10)
     assert sigma2 == pytest.approx(want_s2, rel=1e-10)
     assert logdet == pytest.approx(want_logdet, rel=1e-10)
-    nll = _profile_nll(theta, _powered(X, X, cfg.p), y_std, cfg)
+    nll = _profile_nll(theta, ws, cfg)
     assert nll == pytest.approx(want_nll, rel=1e-10)
 
 
@@ -310,23 +324,29 @@ def _escalate_reference(R, start, cap):
             nugget = min(nugget * 10.0, cap)
 
 
-def test_factor_escalates_nugget_on_near_duplicate_design():
+def _near_duplicate_design():
     # three points repeated 1e-9 away: their correlations round to exactly 1,
     # so R + nugget*I stays singular until 1 + nugget differs from 1
     X = random_lhd(8, 2, seed=0)
-    X = np.vstack([X, X[:3] + 1e-9])
-    R = correlation_matrix(CorrelationSpec(np.ones(2)), X)
+    return np.vstack([X, X[:3] + 1e-9])
+
+
+def test_factor_escalates_nugget_on_near_duplicate_design():
+    X = _near_duplicate_design()
+    theta = np.ones(2)
+    R = correlation_matrix(CorrelationSpec(theta), X)
     start, cap = 1e-20, 1e-4
+    ws = _Workspace(_powered(X, X, DEFAULT_P), np.zeros(len(X)))
 
     want = _escalate_reference(R, start, cap)
     assert want is not None and want > start
-    L, nugget = _factor(R.copy(), start, cap)
+    L, nugget = _factor(ws, theta, start, cap)
     assert nugget == want
     assert np.allclose(L @ L.T, R + nugget * np.eye(len(R)), rtol=0, atol=1e-14)
 
     low_cap = want / 100.0
     assert _escalate_reference(R, start, low_cap) is None
-    L, nugget = _factor(R.copy(), start, low_cap)
+    L, nugget = _factor(ws, theta, start, low_cap)
     assert L is None and nugget == low_cap
 
 
@@ -340,3 +360,99 @@ def test_build_alpha_solves_nugget_system():
     A = correlation_matrix(spec, X) + nugget * np.eye(len(y))
     rhs = y_std - model.mu_std
     assert np.linalg.norm(A @ model.alpha - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+def _reference_nll_log10(log_theta, powered, y_std, cfg):
+    """The fitting objective written out with fresh arrays for every evaluation:
+    a new R, a cleaned potrf factor, a new [y, 1] right-hand side."""
+    lo, hi = np.log10(cfg.theta_bounds[0]), np.log10(cfg.theta_bounds[1])
+    if np.any(log_theta < lo) or np.any(log_theta > hi):
+        return _NLL_BAD
+    theta = 10.0 ** log_theta
+    n, _, d = powered.shape
+    R = np.exp(-(powered.reshape(-1, d) @ theta)).reshape(n, n)
+    base = R.diagonal().copy()
+    nugget = cfg.nugget_start
+    while True:
+        R.flat[::n + 1] = base + nugget
+        L, info = dpotrf(R, lower=1)
+        if info == 0:
+            break
+        if nugget >= cfg.nugget_cap:
+            return _NLL_BAD
+        nugget = min(nugget * 10.0, cfg.nugget_cap)
+    rhs = np.empty((n, 2), order="F")
+    rhs[:, 0] = y_std
+    rhs[:, 1] = 1.0
+    ab, _ = dtrtrs(L, rhs, lower=1)
+    a, b = ab[:, 0], ab[:, 1]
+    mu = (b @ a) / (b @ b)
+    w = a - mu * b
+    sigma2 = (w @ w) / n
+    logdet = 2.0 * np.sum(np.log(np.diag(L)))
+    if not sigma2 > 0:
+        return _NLL_BAD
+    return n * np.log(sigma2) + logdet
+
+
+def _box_points(d, cfg, seed):
+    """log10 theta at 12 random points of the fitting box, its two corners on
+    the diagonal, then two points just outside it."""
+    lo, hi = np.log10(cfg.theta_bounds[0]), np.log10(cfg.theta_bounds[1])
+    points = list(lo + (hi - lo) * np.random.default_rng(seed).uniform(size=(12, d)))
+    return points + [np.full(d, v) for v in (lo, hi, lo - 1e-9, hi + 0.5)]
+
+
+def _objective_cases(X, cfg):
+    """(objective, reference) at every box point, all on one workspace."""
+    y = np.sin(4 * X[:, 0]) + X[:, -1] ** 2
+    y_std = (y - y.mean()) / y.std()
+    powered = _powered(X, X, cfg.p)
+    ws = _Workspace(powered, y_std)
+    lo, hi = np.log10(cfg.theta_bounds[0]), np.log10(cfg.theta_bounds[1])
+    return [(_nll_log10(lt, ws, float(lo), float(hi), cfg),
+             _reference_nll_log10(lt, powered, y_std, cfg))
+            for lt in _box_points(X.shape[1], cfg, len(X))]
+
+
+@pytest.mark.parametrize("n,d", [(8, 1), (30, 2), (60, 5)])
+def test_objective_bit_equal_to_fresh_array_reference(n, d):
+    cases = _objective_cases(random_lhd(n, d, seed=n), FitConfig())
+    assert all(got == want for got, want in cases)
+    assert [want for _, want in cases[-2:]] == [_NLL_BAD, _NLL_BAD]  # outside the box
+    assert all(want != _NLL_BAD for _, want in cases[:-2])
+
+
+def test_objective_bit_equal_to_reference_when_nugget_escalates():
+    X = _near_duplicate_design()
+    cfg = FitConfig(nugget_start=1e-20)
+    cases = _objective_cases(X, cfg)
+    assert all(got == want for got, want in cases)
+    # the nugget escalates at some of the points, and a low cap makes those fail
+    ws = _Workspace(_powered(X, X, cfg.p), np.zeros(len(X)))
+    nuggets = [_factor(ws, 10.0 ** lt, cfg.nugget_start, cfg.nugget_cap)[1]
+               for lt in _box_points(2, cfg, len(X))[:-2]]
+    assert any(v > cfg.nugget_start for v in nuggets)
+    assert any(v == cfg.nugget_start for v in nuggets)
+    capped = FitConfig(nugget_start=1e-20, nugget_cap=1e-18)
+    cases = _objective_cases(X, capped)
+    assert all(got == want for got, want in cases)
+    assert any(want == _NLL_BAD for _, want in cases[:-2])
+
+
+def test_objective_bit_equal_to_reference_over_many_escalation_steps():
+    # powered distances (d = 1) whose correlations at theta = 1 form a 3 x 3
+    # matrix with smallest eigenvalue -3.8e-11: potrf needs a nugget of 1e-10
+    a = 0.9
+    b = 2 * a * a - 1 - 1e-10  # [[1, a, b], [a, 1, a], [b, a, 1]] is singular at 2a^2 - 1
+    powered = -np.log(np.array([[1, a, b], [a, 1, a], [b, a, 1]]))[:, :, None]
+    y_std = np.array([0.3, -1.0, 0.7])
+    cfg = FitConfig(nugget_start=1e-16, nugget_cap=1e-6)
+    ws = _Workspace(powered, y_std)
+    assert _factor(ws, np.ones(1), cfg.nugget_start, cfg.nugget_cap)[1] > 1e-11
+    lo, hi = np.log10(cfg.theta_bounds[0]), np.log10(cfg.theta_bounds[1])
+    for lt in (0.0, -1e-3, 1e-3):  # escalates 6 times; fails at the cap; no escalation
+        lt = np.array([lt])
+        want = _reference_nll_log10(lt, powered, y_std, cfg)
+        assert _nll_log10(lt, ws, float(lo), float(hi), cfg) == want
+        assert (want == _NLL_BAD) == (lt[0] < 0)

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyncal.simulators import target_series
-from dyncal.spline_dps import (DpsResult, TargetSeries, build_dps,
-                               fit_cubic_spline, greedy_knot_search,
+from dyncal.spline_dps import (DpsResult, TargetSeries, _design_matrix,
+                               build_dps, fit_cubic_spline, greedy_knot_search,
                                select_k_elbow)
 
 
@@ -75,7 +75,6 @@ def test_constant_series_fits_exactly():
 
 
 def test_residuals_orthogonal_to_basis():
-    from dyncal.spline_dps import _design_matrix
     series = TargetSeries(target_series("harari_steinberg"))
     knots = [26, 95, 118]
     fit = fit_cubic_spline(series, knots)
@@ -234,3 +233,16 @@ def test_long_series_dps_selection():
     assert np.all(np.diff(result.mse_path) <= 0)
     for i, mse in enumerate(result.mse_path):
         assert mse == fit_cubic_spline(series, result.ordered_knots[:i]).mse
+
+
+def test_packed_knots_next_to_the_start_take_the_ridge_branch():
+    # adjacent knots from t = 2 on pass the argument checks but leave the
+    # design numerically rank deficient, so the ridge branch is reachable
+    L, knots = 200, list(range(2, 25))
+    y = np.sin(np.arange(L) / 9.0)
+    A = _design_matrix(L, knots)
+    coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
+    assert rank < A.shape[1]
+    fit = fit_cubic_spline(TargetSeries(y), knots)
+    assert np.all(np.isfinite(fit.fitted))
+    assert fit.mse == pytest.approx(np.mean((y - A @ coef) ** 2), rel=1e-9)
