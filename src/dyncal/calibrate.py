@@ -23,11 +23,10 @@ from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .acquisition import ContourTarget, expected_improvement, implausibility_max
 from .designs import maximin_lhd, maxpro_lhd, random_lhd
-from .gp import GpModel, MeanBank, fit_gp, predict_batch
+from .gp import GpModel, MeanBank, fit_gp, minimize, predict_batch
 from .metrics import evaluate_all
 from .simulators import Simulator
 from .spline_dps import DpsResult, TargetSeries, build_dps
@@ -40,6 +39,20 @@ _REAL_FIELDS = ("alpha", "epsilon")
 
 class BudgetError(ValueError):
     """Simulator-run budget cannot cover the run as configured."""
+
+
+def check_integer(value, name: str):
+    """value itself; ValueError unless it is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def check_number(value, name: str):
+    """value itself; ValueError unless it is a real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 @dataclass
@@ -62,13 +75,9 @@ class MsceConfig:
 
     def __post_init__(self):
         for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_integer(getattr(self, name), name)
         for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+            check_number(getattr(self, name), name)
         if not (2 <= self.n0 < self.N):
             raise BudgetError(f"need 2 <= n0 < N, got n0={self.n0}, N={self.N}")
         if self.epsilon <= 0:
@@ -167,8 +176,7 @@ def _polish(func, x0, maxfev):
             return 1e30
         return func(x)
 
-    res = minimize(penalized, x0, method="Nelder-Mead",
-                   options={"maxfev": maxfev * d, "xatol": 1e-10, "fatol": 0.0})
+    res = minimize(penalized, x0, maxfev=maxfev * d, xatol=1e-10, fatol=0.0)
     x = np.clip(res.x, 0.0, 1.0)
     return x if func(x) <= func(x0) else np.asarray(x0, dtype=float)
 

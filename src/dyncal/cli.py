@@ -98,6 +98,17 @@ def _load_config(path) -> dict:
         raise InputError(f"{path}: invalid JSON: {exc}")
 
 
+def _numbers(value, name: str) -> np.ndarray:
+    """A flat list of numbers as a float array."""
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+    if out.ndim != 1:
+        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+    return out
+
+
 def _build_simulator(cfg: dict) -> Simulator:
     sim = cfg.get("simulator")
     if isinstance(sim, str):
@@ -106,15 +117,22 @@ def _build_simulator(cfg: dict) -> Simulator:
         exchange = (os.environ.get(EXCHANGE_DIR_ENV)
                     or sim.get("exchange_dir")
                     or "exchange")
+        d = cal.check_integer(sim["d"], "simulator d")
+        L = cal.check_integer(sim["L"], "simulator L")
+        bounds = sim["bounds"]
+        if (not isinstance(bounds, list) or len(bounds) != d
+                or not all(isinstance(b, list) and len(b) == 2 for b in bounds)):
+            raise ValueError(f"simulator bounds must be {d} [low, high] pairs, got {bounds!r}")
         spec = SimulatorSpec(
-            name=sim.get("name", "external"),
-            d=int(sim["d"]), L=int(sim["L"]),
-            time_grid=np.asarray(sim.get("time_grid",
-                                         np.arange(1, int(sim["L"]) + 1)), float),
-            native_bounds=[tuple(b) for b in sim["bounds"]],
+            name=sim.get("name", "external"), d=d, L=L,
+            time_grid=_numbers(sim.get("time_grid", list(range(1, L + 1))),
+                               "simulator time_grid"),
+            native_bounds=[(cal.check_number(lo, "simulator bound"),
+                            cal.check_number(hi, "simulator bound")) for lo, hi in bounds],
         )
         return ExternalSimulator(spec, sim["command"], exchange,
-                                 timeout=float(sim.get("timeout", 60.0)))
+                                 timeout=float(cal.check_number(sim.get("timeout", 60.0),
+                                                                "simulator timeout")))
     raise ValueError("config needs 'simulator': a name or an external command spec")
 
 
@@ -144,12 +162,14 @@ def _cmd_dps(args) -> int:
 
 def _run_common(args, mode: str) -> int:
     cfg = _load_config(args.config)
+    if not isinstance(cfg, dict):
+        raise ValueError("the config must be a JSON object")
     if args.seed is not None:
         cfg["seed"] = args.seed
     simulator = _build_simulator(cfg)
     config = _msce_config(cfg)
     if "target" in cfg:
-        target = np.asarray(cfg["target"], dtype=float)
+        target = _numbers(cfg["target"], "target")
     elif "target_csv" in cfg:
         target = _read_series_csv(cfg["target_csv"]).values
     elif isinstance(cfg["simulator"], str):
@@ -160,7 +180,7 @@ def _run_common(args, mode: str) -> int:
     if mode == "calibrate":
         result = cal.msce_run(simulator, target, config)
     else:
-        cutoff = float(cfg.get("cutoff", 0.0))
+        cutoff = float(cal.check_number(cfg.get("cutoff", 0.0), "cutoff"))
         if cutoff <= 0:
             raise ValueError("hm runs need a positive 'cutoff' in the config")
         series = TargetSeries(target)

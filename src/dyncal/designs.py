@@ -14,7 +14,10 @@ pairs that involve them, and the cost is still taken over the whole vector:
 every cost is bit-equal to `maxpro_criterion` or `-min_pairwise_distance` of
 the current design. The draws per iteration are fixed (a column, two rows,
 and an acceptance draw only for an uphill swap), so a seed gives the same
-design.
+design. They are the draws `rng.integers`, `rng.choice` and `rng.random`
+would make, computed in Python from PCG64 words read in blocks
+(`_Pcg64Draws`), and the generator is left in the state those calls would
+leave; the search therefore needs a PCG64 generator, as `default_rng` makes.
 """
 from __future__ import annotations
 
@@ -139,6 +142,88 @@ def maxpro_criterion(points: np.ndarray) -> float:
         return _maxpro_cost(_inverse_products(points[i] - points[j]), d)
 
 
+class _Pcg64Draws:
+    """The draws `rng.integers(high)`, `rng.choice(n, 2, replace=False)` and
+    `rng.random()` of a PCG64 `Generator`, made in Python from raw 64-bit
+    words read in blocks from a copy of its bit generator.
+
+    Each draw is the one numpy makes, bit for bit: a bounded integer is
+    Lemire's multiply-and-reject on a 32-bit draw, and a 32-bit draw is the
+    low half of a fresh word, whose high half is kept for the next one (PCG64
+    buffers it the same way); the two rows are Floyd's sample (bounds n - 2
+    and n - 1, a repeat replaced by n - 1) followed by a one-step shuffle; a
+    uniform is (word >> 11) * 2^-53. `close` advances the caller's generator
+    by the words used and restores its buffered half, so that it ends in the
+    state the numpy calls would have left. Bounds are below 2^32 - 1.
+    """
+
+    _BLOCK = 1024
+
+    def __init__(self, rng: np.random.Generator):
+        owner = rng.bit_generator
+        if type(owner) is not np.random.PCG64:
+            raise ValueError("the exchange search needs a PCG64 generator, "
+                             f"got {type(owner).__name__}")
+        state = owner.state
+        self._owner = owner
+        self._source = np.random.PCG64()
+        self._source.state = state
+        self._words: list[int] = []
+        self._pos = 0
+        self._used = 0  # words of the blocks before the current one
+        self._has_half = state["has_uint32"]
+        self._half = state["uinteger"]
+
+    def _word(self) -> int:
+        if self._pos == len(self._words):
+            self._used += self._pos
+            self._words = self._source.random_raw(self._BLOCK).tolist()
+            self._pos = 0
+        self._pos += 1
+        return self._words[self._pos - 1]
+
+    def _bounded(self, rng: int) -> int:
+        """Uniform on [0, rng]."""
+        if rng == 0:
+            return 0
+        excl = rng + 1
+        while True:
+            if self._has_half:
+                self._has_half = 0
+                u32 = self._half
+            else:
+                word = self._word()
+                self._has_half = 1
+                self._half = word >> 32
+                u32 = word & 0xFFFFFFFF
+            m = u32 * excl
+            leftover = m & 0xFFFFFFFF
+            if leftover >= excl or leftover >= (0xFFFFFFFF - rng) % excl:
+                return m >> 32
+
+    def integers(self, high: int) -> int:
+        return self._bounded(high - 1)
+
+    def two_rows(self, n: int) -> tuple[int, int]:
+        first = self._bounded(n - 2)
+        second = self._bounded(n - 1)
+        if second == first:
+            second = n - 1
+        if self._bounded(1) == 0:
+            return second, first
+        return first, second
+
+    def random(self) -> float:
+        return (self._word() >> 11) * (1.0 / 9007199254740992.0)
+
+    def close(self) -> None:
+        self._owner.advance(self._used + self._pos)
+        state = self._owner.state
+        state["has_uint32"] = self._has_half
+        state["uinteger"] = self._half
+        self._owner.state = state
+
+
 def _touching_pairs(n: int, i: int, j: int):
     """The pairs (i, c) and (j, c), c not in {i, j}: their positions in
     `triu_indices` order and the rows at their two ends."""
@@ -166,7 +251,8 @@ def _exchange_optimize(points, criterion, rng, iterations):
     cost is bit-equal to `maxpro_criterion` or `-min_pairwise_distance` of the
     current design. Each iteration draws `rng.integers(d)` and
     `rng.choice(n, 2, replace=False)`, and one `rng.random()` only for an
-    uphill proposal: a given stream gives the same design.
+    uphill proposal, all through `_Pcg64Draws`: a given stream gives the same
+    design. rng must be a PCG64 `Generator`.
     """
     pair_values, cost = _CRITERIA[criterion]
     current = np.array(points, dtype=float)
@@ -183,10 +269,11 @@ def _exchange_optimize(points, criterion, rng, iterations):
     decay = (tf / t0) ** (1.0 / max(iterations, 1))
     temp = t0
 
+    draws = _Pcg64Draws(rng)
     touching = {}
     for _ in range(iterations):
-        k = rng.integers(d)
-        i, j = rng.choice(n, size=2, replace=False).tolist()
+        k = draws.integers(d)
+        i, j = draws.two_rows(n)
         key = i * n + j if i < j else j * n + i
         pairs = touching.get(key)
         if pairs is None:
@@ -196,7 +283,7 @@ def _exchange_optimize(points, criterion, rng, iterations):
         old = values.take(positions)
         values[positions] = pair_values(current.take(ends, 0) - current.take(others, 0))
         new_cost = cost(values, d)
-        if new_cost <= cur_cost or rng.random() < np.exp(-(new_cost - cur_cost) / temp):
+        if new_cost <= cur_cost or draws.random() < np.exp(-(new_cost - cur_cost) / temp):
             cur_cost = new_cost
             if new_cost < best_cost:
                 best_cost = new_cost
@@ -205,6 +292,7 @@ def _exchange_optimize(points, criterion, rng, iterations):
             current[i, k], current[j, k] = current[j, k], current[i, k]  # undo
             values[positions] = old
         temp *= decay
+    draws.close()
     return best
 
 
@@ -212,7 +300,8 @@ def maximin_lhd(n: int, d: int, seed=None, iterations: int = 10_000) -> np.ndarr
     """LHD optimized to maximize the minimum pairwise distance.
 
     Starts from a random LHD and improves it by column swaps; the result's
-    minimum distance is never below the starting design's.
+    minimum distance is never below the starting design's. A Generator given
+    as seed must be a PCG64 one.
     """
     if n < 2:
         raise ValueError("maximin design needs n >= 2 (min distance undefined)")
@@ -222,7 +311,8 @@ def maximin_lhd(n: int, d: int, seed=None, iterations: int = 10_000) -> np.ndarr
 
 
 def maxpro_lhd(n: int, d: int, seed=None, iterations: int = 10_000) -> np.ndarray:
-    """LHD optimized to minimize the maximum projection criterion."""
+    """LHD optimized to minimize the maximum projection criterion. A Generator
+    given as seed must be a PCG64 one."""
     if n < 2:
         raise ValueError("MaxPro design needs n >= 2")
     rng = _rng(seed)

@@ -28,15 +28,21 @@ rows, and `_corr` turns those into correlations for one theta. Fitting,
 model assembly, `predict_batch` and `MeanBank` all go through this pair, and
 the BLUP mean y_mean + y_scale (mu_std + r' alpha) is written once, in `_mean`,
 which also holds the only branch for a constant (degenerate) response.
+
+The multistart search of `fit_gp` and the polish of solution extraction use
+one Nelder-Mead, `minimize`. It follows scipy's non-adaptive Nelder-Mead step
+for step on Python floats, so its results are bit-equal to scipy's at less
+than half the overhead per evaluation. `fit_gp` calls it through this
+module's global `minimize`, which is where a tracer counts the evaluations.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dtrtrs
-from scipy.optimize import minimize
 
 from .designs import random_lhd
 
@@ -206,6 +212,127 @@ def _nll_log10(log_theta, ws: _Workspace, lo: float, hi: float, cfg: FitConfig):
     return _profile_nll(10.0 ** log_theta, ws, cfg)
 
 
+@dataclass
+class MinimizeResult:
+    """What `minimize` found: the best vertex x, its value fun, and nfev evaluations."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+
+
+class _BudgetSpent(Exception):
+    """An evaluation was asked for after maxfev had been spent."""
+
+
+def _sort_simplex(sim: list, fsim: list) -> None:
+    """Order the vertices by value in place, as `np.argsort` orders them.
+
+    A plain sort when the values are distinct; `np.argsort` itself when some
+    values tie or are NaN, so that tied vertices keep numpy's order.
+    """
+    order = sorted(range(len(fsim)), key=fsim.__getitem__)
+    if not all(fsim[a] < fsim[b] for a, b in zip(order, order[1:])):
+        order = np.argsort(fsim).tolist()
+    sim[:] = [sim[i] for i in order]
+    fsim[:] = [fsim[i] for i in order]
+
+
+def minimize(fun, x0, args=(), *, maxfev: int, xatol: float,
+             fatol: float) -> MinimizeResult:
+    """Nelder-Mead minimization of fun(x, *args) from x0, on Python floats.
+
+    Step for step the non-adaptive, unbounded method of
+    `scipy.optimize.minimize(fun, x0, args, method="Nelder-Mead",
+    options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol})`, so x, fun
+    and nfev are bit-equal to scipy's:
+    - the initial simplex is x0 and, for each k, x0 with x_k scaled by 1.05
+      (set to 0.00025 where x_k = 0);
+    - with the centroid c of all but the worst vertex w (summed row by row),
+      the trial points are 2c - w (reflect), 3c - 2w (expand), 1.5c - 0.5w
+      (contract) and 0.5c + 0.5w (inside contract); a shrink moves every
+      vertex halfway to the best;
+    - it stops when every vertex lies within xatol of the best in every
+      coordinate and every value within fatol of the best value;
+    - once maxfev evaluations are spent, the next evaluation asked for ends
+      the step there, keeping what the step has done so far.
+    fun gets a fresh float64 array and must return a real scalar.
+    """
+    start = np.asarray(x0, dtype=float).ravel().tolist()
+    n = len(start)
+    nfev = 0
+
+    def evaluate(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return float(fun(np.array(x), *args))
+
+    sim = [start]
+    for k in range(n):
+        vertex = list(start)
+        vertex[k] = 1.05 * vertex[k] if vertex[k] != 0 else 0.00025
+        sim.append(vertex)
+    fsim = [math.inf] * (n + 1)
+    try:
+        for k in range(n + 1):
+            fsim[k] = evaluate(sim[k])
+    except _BudgetSpent:
+        pass
+    _sort_simplex(sim, fsim)
+    _sort_simplex(sim, fsim)  # scipy sorts twice here; it matters only for ties
+
+    while nfev < maxfev:
+        try:
+            best, fbest = sim[0], fsim[0]
+            if (all(abs(v - b) <= xatol for vertex in sim[1:]
+                    for v, b in zip(vertex, best))
+                    and all(abs(fbest - f) <= fatol for f in fsim[1:])):
+                break
+            total = list(sim[0])  # not sum(), which compensates from Python 3.12 on
+            for vertex in sim[1:-1]:
+                total = [t + v for t, v in zip(total, vertex)]
+            worst = sim[-1]
+            centroid = [t / n for t in total]
+            xr = [2.0 * c - w for c, w in zip(centroid, worst)]
+            fxr = evaluate(xr)
+            if fxr < fbest:
+                xe = [3.0 * c - 2.0 * w for c, w in zip(centroid, worst)]
+                fxe = evaluate(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                shrink = False
+                if fxr < fsim[-1]:
+                    xc = [1.5 * c - 0.5 * w for c, w in zip(centroid, worst)]
+                    fxc = evaluate(xc)
+                    if fxc <= fxr:
+                        sim[-1], fsim[-1] = xc, fxc
+                    else:
+                        shrink = True
+                else:
+                    xcc = [0.5 * c + 0.5 * w for c, w in zip(centroid, worst)]
+                    fxcc = evaluate(xcc)
+                    if fxcc < fsim[-1]:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                    else:
+                        shrink = True
+                if shrink:
+                    for j in range(1, n + 1):
+                        sim[j] = [b + 0.5 * (v - b) for v, b in zip(sim[j], best)]
+                        fsim[j] = evaluate(sim[j])
+        except _BudgetSpent:
+            pass
+        _sort_simplex(sim, fsim)
+
+    return MinimizeResult(x=np.array(sim[0]), fun=float(np.min(fsim)), nfev=nfev)
+
+
 def build_gp_model(X: np.ndarray, y: np.ndarray, spec: CorrelationSpec,
                    nugget: float) -> GpModel:
     """Assemble a model at fixed correlation parameters (no optimization).
@@ -276,8 +403,7 @@ def fit_gp(X: np.ndarray, y: np.ndarray, config: FitConfig | None = None) -> GpM
     best = None
     for idx, s in enumerate(starts):
         res = minimize(_nll_log10, s, args=(ws, float(lo), float(hi), cfg),
-                       method="Nelder-Mead", options={"maxfev": cfg.max_evals_per_start,
-                                                      "xatol": 1e-3, "fatol": 1e-8})
+                       maxfev=cfg.max_evals_per_start, xatol=1e-3, fatol=1e-8)
         cand = (res.fun, idx, res.x)
         if best is None or cand[0] < best[0]:
             best = cand

@@ -137,6 +137,37 @@ def test_external_simulator_without_target_is_config_error(tmp_path, capsys):
     assert "target" in capsys.readouterr().err
 
 
+def _external_spec(**overrides):
+    spec = {"command": ["true"], "d": 2, "L": 10, "bounds": [[0, 1], [0, 1]]}
+    spec.update(overrides)
+    return spec
+
+
+@pytest.mark.parametrize("mode,overrides,message", [
+    ("hm", {"cutoff": [0.5]}, "cutoff must be a number"),
+    ("calibrate", {"simulator": _external_spec(d=[2]), "target": [0.0] * 10},
+     "simulator d must be an integer"),
+    ("calibrate", {"simulator": _external_spec(bounds=3), "target": [0.0] * 10},
+     "simulator bounds must be 2 [low, high] pairs"),
+])
+def test_mistyped_config_value_is_config_error(tmp_path, capsys, mode, overrides, message):
+    cfg = toy_calibrate_config(tmp_path, **overrides)
+    rc = cli.main([mode, cfg, "--out-dir", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("[1, 2]")
+    rc = cli.main(["calibrate", str(path)])
+    assert rc == cli.EXIT_CONFIG
+    assert "config error: the config must be a JSON object" in capsys.readouterr().err
+
+
 def test_hm_requires_positive_cutoff(tmp_path, capsys):
     cfg = toy_calibrate_config(tmp_path, cutoff=-1.0)
     rc = cli.main(["hm", cfg])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dyncal.designs import (_exchange_optimize, is_latin_hypercube,
+from dyncal.designs import (_exchange_optimize, _Pcg64Draws, is_latin_hypercube,
                             maximin_lhd, maxpro_criterion, maxpro_lhd,
                             min_pairwise_distance, random_lhd)
 
@@ -136,18 +136,59 @@ def _reference_exchange(points, cost, rng, iterations):
 
 
 @given(n=st.integers(2, 20), d=st.integers(1, 5), iterations=st.integers(50, 500),
-       criterion=st.sampled_from(["maximin", "maxpro"]), seed=st.integers(0, 2**31))
-@example(n=2, d=3, iterations=50, criterion="maximin", seed=0)
-@example(n=2, d=1, iterations=50, criterion="maxpro", seed=1)
+       criterion=st.sampled_from(["maximin", "maxpro"]), seed=st.integers(0, 2**31),
+       buffered=st.booleans())
+@example(n=2, d=3, iterations=50, criterion="maximin", seed=0, buffered=False)
+@example(n=2, d=1, iterations=50, criterion="maxpro", seed=1, buffered=True)
+@example(n=20, d=5, iterations=2000, criterion="maxpro", seed=2, buffered=True)  # > 1 block
 @settings(max_examples=100, deadline=None)
-def test_incremental_exchange_matches_full_recompute(n, d, iterations, criterion, seed):
+def test_incremental_exchange_matches_full_recompute(n, d, iterations, criterion, seed,
+                                                     buffered):
     optimize, cost = {
         "maximin": (maximin_lhd, lambda pts: -min_pairwise_distance(pts)),
         "maxpro": (maxpro_lhd, maxpro_criterion),
     }[criterion]
-    rng = np.random.default_rng(seed)
-    want = _reference_exchange(random_lhd(n, d, rng), cost, rng, iterations)
-    assert np.array_equal(optimize(n, d, seed=seed, iterations=iterations), want)
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:  # enter the search with the high half of a word buffered
+        ref_rng.integers(5)
+        rng.integers(5)
+    want = _reference_exchange(random_lhd(n, d, ref_rng), cost, ref_rng, iterations)
+    got = _exchange_optimize(random_lhd(n, d, rng), criterion, rng, iterations)
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if not buffered:
+        assert np.array_equal(optimize(n, d, seed=seed, iterations=iterations), want)
+
+
+@given(seed=st.integers(0, 2**31), buffered=st.booleans(),
+       calls=st.lists(st.tuples(st.sampled_from(["integers", "two_rows", "random"]),
+                                st.sampled_from([1, 2, 3, 7, 2**31 + 1, 3 * 2**30, 2**32 - 2])),
+                      max_size=60))
+@settings(max_examples=100, deadline=None)
+def test_block_draws_match_numpy(seed, buffered, calls):
+    # large bounds make Lemire's rejection step frequent
+    ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:
+        ref.integers(5)
+        rng.integers(5)
+    draws = _Pcg64Draws(rng)
+    for kind, bound in calls:
+        if kind == "integers":
+            assert draws.integers(bound) == ref.integers(bound)
+        elif kind == "two_rows" and bound >= 2:
+            assert draws.two_rows(bound) == tuple(ref.choice(bound, 2, replace=False))
+        elif kind == "random":
+            assert draws.random() == ref.random()
+    draws.close()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_exchange_search_rejects_other_bit_generators():
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(ValueError, match="PCG64"):
+        _exchange_optimize(_grid_3x2(), "maximin", rng, 10)
+    with pytest.raises(ValueError, match="PCG64"):
+        maxpro_lhd(5, 2, seed=rng, iterations=10)
 
 
 def test_maxpro_criterion_infinite_on_shared_coordinate():

@@ -3,11 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from dyncal.designs import random_lhd
 from dyncal.gp import (DEFAULT_P, CorrelationSpec, FitConfig, FitError, MeanBank,
-                       build_gp_model, fit_gp, predict_batch, _corr, _factor,
+                       build_gp_model, fit_gp, minimize, predict_batch, _corr, _factor,
                        _nll_log10, _NLL_BAD, _powered, _profile, _profile_nll,
                        _Workspace)
 from dyncal.simulators import get_simulator
@@ -456,3 +459,51 @@ def test_objective_bit_equal_to_reference_over_many_escalation_steps():
         want = _reference_nll_log10(lt, powered, y_std, cfg)
         assert _nll_log10(lt, ws, float(lo), float(hi), cfg) == want
         assert (want == _NLL_BAD) == (lt[0] < 0)
+
+
+def _quadratic(x, center):
+    return float(np.sum(np.arange(1, len(x) + 1) * (x - center) ** 2))
+
+
+def _bumpy(x, center):
+    return float(np.sum(np.sin(9.0 * (x - center)) + (x - center) ** 2))
+
+
+def _boxed(x, center):
+    """`_polish`'s penalty: a constant plateau outside the unit box."""
+    if np.any(x < 0.0) or np.any(x > 1.0):
+        return 1e30
+    return _bumpy(x, center)
+
+
+@given(d=st.integers(1, 5), seed=st.integers(0, 2**31), zero_mask=st.integers(0, 31),
+       objective=st.sampled_from(["quadratic", "bumpy", "boxed", "nll"]),
+       polish=st.booleans(), maxfev=st.one_of(st.integers(1, 60), st.just(500)))
+@example(d=2, seed=0, zero_mask=0, objective="nll", polish=False, maxfev=500)
+@example(d=3, seed=1, zero_mask=5, objective="boxed", polish=True, maxfev=0)
+@settings(max_examples=200, deadline=None)
+def test_nelder_mead_bit_equal_to_scipy(d, seed, zero_mask, objective, polish, maxfev):
+    """fun, x and nfev equal scipy's Nelder-Mead bit for bit, also when the
+    budget runs out mid-step and when vertex values tie (plateaus)."""
+    rng = np.random.default_rng(seed)
+    if objective == "nll":  # the fitting objective, starts inside and outside its box
+        cfg = FitConfig()
+        n = int(rng.integers(8, 41))
+        X = random_lhd(n, d, rng)
+        y = np.sin(X @ rng.normal(size=d) * 3.0) + 0.1 * rng.normal(size=n)
+        ws = _Workspace(_powered(X, X, cfg.p), (y - y.mean()) / y.std())
+        fun, args = _nll_log10, (ws, -2.0, 2.0, cfg)
+        x0 = rng.uniform(-2.5, 2.5, d)
+    else:
+        fun, args = {"quadratic": _quadratic, "bumpy": _bumpy, "boxed": _boxed}[objective], \
+            (rng.uniform(0.0, 1.0, d),)
+        x0 = rng.uniform(-0.2, 1.2, d)
+    x0[[k for k in range(d) if zero_mask >> k & 1]] = 0.0
+    xatol, fatol = (1e-10, 0.0) if polish else (1e-3, 1e-8)
+    want = scipy.optimize.minimize(fun, x0, args=args, method="Nelder-Mead",
+                                   options={"maxfev": maxfev, "xatol": xatol,
+                                            "fatol": fatol})
+    got = minimize(fun, x0, args=args, maxfev=maxfev, xatol=xatol, fatol=fatol)
+    assert got.nfev == want.nfev
+    assert np.array_equal(got.x, want.x)
+    assert got.fun == want.fun
