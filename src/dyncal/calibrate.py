@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +32,6 @@ from .simulators import Simulator
 from .spline_dps import DpsResult, TargetSeries, build_dps
 
 DUPLICATE_TOL = 1e-10
-_INTEGER_FIELDS = ("n0", "N", "seed", "k_max", "M", "grid_size", "design_iterations",
-                   "hm_stage_cap", "hm_stage_limit")
-_REAL_FIELDS = ("alpha", "epsilon")
 
 
 class BudgetError(ValueError):
@@ -74,10 +71,10 @@ class MsceConfig:
     hm_stage_limit: int = 10
 
     def __post_init__(self):
-        for name in _INTEGER_FIELDS:
-            check_integer(getattr(self, name), name)
-        for name in _REAL_FIELDS:
-            check_number(getattr(self, name), name)
+        for f in fields(self):  # f.type is the annotation's text
+            check = {"int": check_integer, "float": check_number}.get(f.type)
+            if check is not None:
+                check(getattr(self, f.name), f.name)
         if not (2 <= self.n0 < self.N):
             raise BudgetError(f"need 2 <= n0 < N, got n0={self.n0}, N={self.N}")
         if self.epsilon <= 0:
@@ -108,6 +105,11 @@ class CalibrationResult:
     origins: list  # per training row: 0 = initial design, else problem/stage
     response_at_opt: np.ndarray
     target: np.ndarray
+    trace_columns: tuple  # run_log keys written to trace.csv, before x1..xd
+
+
+_MSCE_TRACE = ("iteration", "problem", "t_star", "ei", "pred_mean", "pred_sd")
+_HM_TRACE = ("stage", "im_max")
 
 
 def _initial_design(d: int, config: MsceConfig) -> np.ndarray:
@@ -143,11 +145,8 @@ def solve_scalar_contour(simulator: Simulator, t_star: int, a: float,
         means, s2 = predict_batch(model, cands)
         sds = np.sqrt(s2)
         ei = expected_improvement(means, sds, target)
-        pick = None
-        for idx in np.argsort(-ei, kind="stable"):
-            if not _is_duplicate(cands[idx], X):
-                pick = int(idx)
-                break
+        pick = next((int(idx) for idx in np.argsort(-ei, kind="stable")
+                     if not _is_duplicate(cands[idx], X)), None)
         if pick is None:
             raise RuntimeError("all candidates duplicate existing training points")
         x_new = cands[pick]
@@ -159,10 +158,10 @@ def solve_scalar_contour(simulator: Simulator, t_star: int, a: float,
                 "iteration": len(X),
                 "problem": problem_index,
                 "t_star": t_star,
-                "x": [float(v) for v in x_new],
                 "ei": float(ei[pick]),
                 "pred_mean": float(means[pick]),
                 "pred_sd": float(sds[pick]),
+                "x": [float(v) for v in x_new],
             })
     return X, Y
 
@@ -219,24 +218,17 @@ def extract_solution(models: list[GpModel], targets: list[float],
     dev = np.abs(preds - targets_arr[:, None])
     grid_score = np.sum((preds - targets_arr[:, None]) ** 2, axis=0)
 
-    flags = {"fallback": False, "epsilon_used": config.epsilon, "escalations": 0}
-    inside = None
     for attempt in range(7):
         eps = config.epsilon * 10.0 ** attempt
         inside = np.all(dev < eps, axis=0)
         if np.any(inside):
-            flags["epsilon_used"] = eps
-            flags["escalations"] = attempt
             break
-    else:
-        flags["fallback"] = True
-        flags["epsilon_used"] = eps = config.epsilon * 10.0 ** 6
-        x_opt = grid[int(np.argmin(np.max(dev, axis=0)))]
-        flags["escalations"] = 6
-        solution_sets = [grid[dev[i] < eps] for i in range(len(models))]
-        return x_opt, solution_sets, flags
-
+    fallback = not np.any(inside)
+    flags = {"fallback": fallback, "epsilon_used": eps, "escalations": attempt}
     solution_sets = [grid[dev[i] < eps] for i in range(len(models))]
+    if fallback:
+        return grid[int(np.argmin(np.max(dev, axis=0)))], solution_sets, flags
+
     x_band = grid[int(np.argmin(np.where(inside, grid_score, np.inf)))]
 
     def score(x):
@@ -278,6 +270,15 @@ def extract_solution(models: list[GpModel], targets: list[float],
     return x_opt, solution_sets, flags
 
 
+def _checked_target(target, simulator: Simulator) -> TargetSeries:
+    """target as a TargetSeries; ValueError unless its length is the simulator's L."""
+    series = target if isinstance(target, TargetSeries) else TargetSeries(target)
+    if len(series) != simulator.spec.L:
+        raise ValueError(
+            f"target length {len(series)} does not match simulator L={simulator.spec.L}")
+    return series
+
+
 def msce_run(simulator: Simulator, target, config: MsceConfig) -> CalibrationResult:
     """Calibrate by sequential scalar contour estimation at the DPS indices.
 
@@ -285,11 +286,8 @@ def msce_run(simulator: Simulator, target, config: MsceConfig) -> CalibrationRes
     split approximately evenly over the DPS problems (earlier problems take
     the leftovers, since they double as global exploration).
     """
-    series = target if isinstance(target, TargetSeries) else TargetSeries(np.asarray(target))
-    spec = simulator.spec
-    if len(series) != spec.L:
-        raise ValueError(f"target length {len(series)} does not match simulator L={spec.L}")
-    d = spec.d
+    series = _checked_target(target, simulator)
+    d = simulator.spec.d
 
     dps_result = build_dps(series, config.k_max)
     dps = list(dps_result.dps)
@@ -332,11 +330,11 @@ def msce_run(simulator: Simulator, target, config: MsceConfig) -> CalibrationRes
         training_inputs=X, training_responses=Y, dps=dps_result, x_opt=x_opt,
         solution_sets=solution_sets, metrics=metrics, run_log=run_log,
         flags=flags, budget_used=used, origins=origins,
-        response_at_opt=response_at_opt, target=series.values,
+        response_at_opt=response_at_opt, target=series.values, trace_columns=_MSCE_TRACE,
     )
 
 
-def hm_run(simulator: Simulator, target, dps, n0: int, cutoff: float,
+def hm_run(simulator: Simulator, target, dps: DpsResult, n0: int, cutoff: float,
            config: MsceConfig) -> CalibrationResult:
     """History-matching baseline over the given DPS.
 
@@ -347,15 +345,10 @@ def hm_run(simulator: Simulator, target, dps, n0: int, cutoff: float,
     target at the DPS.
     """
     if cutoff <= 0:
-        raise ValueError("implausibility cutoff must be positive")
-    series = target if isinstance(target, TargetSeries) else TargetSeries(np.asarray(target))
+        raise ValueError(f"implausibility cutoff must be positive, got {cutoff!r}")
+    series = _checked_target(target, simulator)
     spec = simulator.spec
-    if len(series) != spec.L:
-        raise ValueError(f"target length {len(series)} does not match simulator L={spec.L}")
-    dps_result = dps if isinstance(dps, DpsResult) else DpsResult(
-        ordered_knots=list(dps), mse_path=np.array([]), k_selected=len(list(dps)),
-        dps=list(dps))
-    indices = list(dps_result.dps)
+    indices = list(dps.dps)
     targets = np.array([series.values[t - 1] for t in indices])
 
     calls_before = simulator.calls
@@ -378,9 +371,7 @@ def hm_run(simulator: Simulator, target, dps, n0: int, cutoff: float,
         order = np.argsort(im, kind="stable")
         added = 0
         for idx in order:
-            if added >= config.hm_stage_cap:
-                break
-            if im[idx] > cutoff:
+            if added >= config.hm_stage_cap or im[idx] > cutoff:
                 break
             x_new = test[idx]
             if _is_duplicate(x_new, X):
@@ -391,8 +382,8 @@ def hm_run(simulator: Simulator, target, dps, n0: int, cutoff: float,
             origins.append(stage)
             run_log.append({
                 "stage": stage,
-                "x": [float(v) for v in x_new],
                 "im_max": float(im[idx]),
+                "x": [float(v) for v in x_new],
             })
             added += 1
         if added == 0:
@@ -405,18 +396,27 @@ def hm_run(simulator: Simulator, target, dps, n0: int, cutoff: float,
     metrics = evaluate_all(response_at_opt, series.values)
 
     return CalibrationResult(
-        training_inputs=X, training_responses=Y, dps=dps_result, x_opt=x_opt,
+        training_inputs=X, training_responses=Y, dps=dps, x_opt=x_opt,
         solution_sets=None, metrics=metrics, run_log=run_log,
         flags={"cutoff": cutoff}, budget_used=simulator.calls - calls_before,
         origins=origins, response_at_opt=response_at_opt, target=series.values,
+        trace_columns=_HM_TRACE,
     )
 
 
+def _write_csv(path: Path, header: list, rows) -> None:
+    """One header line, then one line per row of Python numbers, each as its repr."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
+
+
 def write_run_artifacts(run_dir, result: CalibrationResult, resolved_config: dict,
-                        simulator: Simulator | None = None) -> None:
+                        simulator: Simulator) -> None:
     """Write the standard run directory: config.json, training.csv,
-    responses.csv, result.json, trace.csv. Contents are deterministic for a
-    deterministic result."""
+    responses.csv, result.json, solution.csv, trace.csv. Contents are
+    deterministic for a deterministic result."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
 
@@ -425,21 +425,15 @@ def write_run_artifacts(run_dir, result: CalibrationResult, resolved_config: dic
         fh.write("\n")
 
     X = result.training_inputs
-    with open(run_dir / "training.csv", "w") as fh:
-        cols = ",".join(f"x{k + 1}" for k in range(X.shape[1]))
-        fh.write(f"order,origin,{cols}\n")
-        for i, row in enumerate(X, start=1):
-            vals = ",".join(repr(float(v)) for v in row)
-            fh.write(f"{i},{result.origins[i - 1]},{vals}\n")
+    xs = [f"x{k + 1}" for k in range(X.shape[1])]
+    _write_csv(run_dir / "training.csv", ["order", "origin", *xs],
+               ([i, origin, *x] for i, (origin, x)
+                in enumerate(zip(result.origins, X.tolist()), start=1)))
 
     Y = result.training_responses  # stored (n, L); exported L x N
-    times = (simulator.spec.time_grid if simulator is not None
-             else np.arange(1, Y.shape[1] + 1))
-    with open(run_dir / "responses.csv", "w") as fh:
-        fh.write("t," + ",".join(f"y{i + 1}" for i in range(Y.shape[0])) + "\n")
-        for j in range(Y.shape[1]):
-            fh.write(repr(float(times[j])) + ","
-                     + ",".join(repr(float(Y[i, j])) for i in range(Y.shape[0])) + "\n")
+    times = simulator.spec.time_grid.tolist()
+    _write_csv(run_dir / "responses.csv", ["t", *(f"y{i + 1}" for i in range(len(Y)))],
+               ([t, *y] for t, y in zip(times, Y.T.tolist())))
 
     payload = {
         "x_opt": [float(v) for v in result.x_opt],
@@ -447,37 +441,20 @@ def write_run_artifacts(run_dir, result: CalibrationResult, resolved_config: dic
         "flags": result.flags,
         "budget_used": result.budget_used,
         "dps": result.dps.to_dict(),
+        "x_opt_native": [float(v) for v in simulator.spec.unscale(result.x_opt)],
     }
-    if simulator is not None:
-        payload["x_opt_native"] = [float(v) for v in simulator.spec.unscale(result.x_opt)]
     with open(run_dir / "result.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    with open(run_dir / "solution.csv", "w") as fh:
-        fh.write("t,target,response_at_solution\n")
-        for j in range(Y.shape[1]):
-            fh.write(f"{float(times[j])!r},{float(result.target[j])!r},"
-                     f"{float(result.response_at_opt[j])!r}\n")
+    _write_csv(run_dir / "solution.csv", ["t", "target", "response_at_solution"],
+               zip(times, result.target.tolist(), result.response_at_opt.tolist()))
 
-    with open(run_dir / "trace.csv", "w") as fh:
-        if result.run_log and "ei" in result.run_log[0]:
-            fh.write("iteration,problem,t_star,ei,pred_mean,pred_sd,"
-                     + ",".join(f"x{k + 1}" for k in range(X.shape[1])) + "\n")
-            for rec in result.run_log:
-                fh.write(f"{rec['iteration']},{rec['problem']},{rec['t_star']},"
-                         f"{rec['ei']!r},{rec['pred_mean']!r},{rec['pred_sd']!r},"
-                         + ",".join(repr(v) for v in rec["x"]) + "\n")
-        else:
-            fh.write("stage,im_max," + ",".join(f"x{k + 1}" for k in range(X.shape[1])) + "\n")
-            for rec in result.run_log:
-                fh.write(f"{rec['stage']},{rec['im_max']!r},"
-                         + ",".join(repr(v) for v in rec["x"]) + "\n")
+    columns = result.trace_columns
+    _write_csv(run_dir / "trace.csv", [*columns, *xs],
+               ([*(rec[c] for c in columns), *rec["x"]] for rec in result.run_log))
 
 
 def resolved_config_dict(config: MsceConfig, extra: dict | None = None) -> dict:
     """Config with every default filled in, for replayable run directories."""
-    payload = asdict(config)
-    if extra:
-        payload.update(extra)
-    return payload
+    return {**asdict(config), **(extra or {})}

@@ -18,6 +18,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -54,20 +55,20 @@ def _read_series_csv(path) -> TargetSeries:
     if not rows:
         raise InputError(f"{path}: empty file")
     start = 1 if [c.strip().lower() for c in rows[0]] == ["t", "value"] else 0
-    times, values = [], []
+    values = []
     for i, row in enumerate(rows[start:], start=start + 1):
         if not row:
             continue
         if len(row) != 2:
             raise InputError(f"{path}: row {i} has {len(row)} fields, expected 2")
         try:
-            times.append(float(row[0]))
+            float(row[0])  # checked only: knots are the indices 1..L
             values.append(float(row[1]))
         except ValueError:
             raise InputError(f"{path}: row {i} is not numeric: {row!r}")
     if not values:
         raise InputError(f"{path}: no data rows")
-    return TargetSeries(values=np.array(values), times=np.array(times))
+    return TargetSeries(np.array(values))
 
 
 def _read_inputs_csv(path) -> np.ndarray:
@@ -136,12 +137,25 @@ def _build_simulator(cfg: dict) -> Simulator:
     raise ValueError("config needs 'simulator': a name or an external command spec")
 
 
+def _check_run_keys(cfg: dict, mode: str) -> None:
+    """ValueError on a key no run reads, a mode other than this subcommand,
+    or a path that is not a string."""
+    unknown = sorted(set(cfg) - {f.name for f in fields(cal.MsceConfig)}
+                     - {"simulator", "target", "target_csv", "cutoff", "out_dir", "mode"})
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r}")
+    if cfg.get("mode", mode) != mode:
+        raise ValueError(f"config mode {cfg['mode']!r} does not match the {mode!r} subcommand")
+    for key, where in (("target_csv", cfg), ("out_dir", cfg),
+                       ("exchange_dir", cfg.get("simulator"))):
+        value = where.get(key, "") if isinstance(where, dict) else ""
+        if not isinstance(value, str):
+            raise ValueError(f"{key} must be a path string, got {value!r}")
+
+
 def _msce_config(cfg: dict) -> cal.MsceConfig:
-    kwargs = {k: cfg[k] for k in
-              ("n0", "N", "seed", "k_max", "alpha", "epsilon", "M", "grid_size",
-               "initial_design", "design_iterations", "dps_order",
-               "hm_stage_cap", "hm_stage_limit") if k in cfg}
-    return cal.MsceConfig(**kwargs)
+    return cal.MsceConfig(**{f.name: cfg[f.name] for f in fields(cal.MsceConfig)
+                             if f.name in cfg})
 
 
 def _cmd_dps(args) -> int:
@@ -164,6 +178,7 @@ def _run_common(args, mode: str) -> int:
     cfg = _load_config(args.config)
     if not isinstance(cfg, dict):
         raise ValueError("the config must be a JSON object")
+    _check_run_keys(cfg, mode)
     if args.seed is not None:
         cfg["seed"] = args.seed
     simulator = _build_simulator(cfg)
@@ -181,17 +196,15 @@ def _run_common(args, mode: str) -> int:
         result = cal.msce_run(simulator, target, config)
     else:
         cutoff = float(cal.check_number(cfg.get("cutoff", 0.0), "cutoff"))
-        if cutoff <= 0:
-            raise ValueError("hm runs need a positive 'cutoff' in the config")
-        series = TargetSeries(target)
-        dps = build_dps(series, config.k_max)
-        result = cal.hm_run(simulator, series, dps, config.n0, cutoff, config)
+        dps = build_dps(TargetSeries(target), config.k_max)
+        result = cal.hm_run(simulator, target, dps, config.n0, cutoff, config)
 
     out_dir = Path(args.out_dir or cfg.get("out_dir") or f"{mode}_run")
+    recorded = ("target", "target_csv") + (("cutoff",) if mode == "hm" else ())
     resolved = cal.resolved_config_dict(config, extra={
         "mode": mode,
         "simulator": cfg.get("simulator"),
-        **({"cutoff": cfg["cutoff"]} if mode == "hm" else {}),
+        **{k: cfg[k] for k in recorded if k in cfg},
     })
     cal.write_run_artifacts(out_dir, result, resolved, simulator)
     print(f"x_opt: {[round(float(v), 6) for v in result.x_opt]}  "

@@ -41,7 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .designs import random_lhd
@@ -438,7 +437,7 @@ def predict_batch(model: GpModel, X_star: np.ndarray):
     if r is None:
         return means, np.zeros(len(means))
     # r' R~^-1 r via the triangular factor
-    v = solve_triangular(model.chol, r, lower=True)
+    v, _ = dtrtrs(model.chol, r, lower=1)
     quad = np.sum(v * v, axis=0)
     s2 = model.y_scale ** 2 * (model.sigma2_std * np.maximum(1.0 - quad, 0.0))
     return means, s2

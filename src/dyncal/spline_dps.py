@@ -24,10 +24,9 @@ from scipy.interpolate import BSpline
 
 @dataclass
 class TargetSeries:
-    """Target response g0 on a fixed time grid of length L."""
+    """Target response g0 on a fixed time grid of length L, indexed 1..L."""
 
     values: np.ndarray
-    times: np.ndarray | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).ravel()
@@ -35,12 +34,6 @@ class TargetSeries:
             raise ValueError("target series needs at least 5 points")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("target series must be finite")
-        if self.times is None:
-            self.times = np.arange(1.0, len(self.values) + 1.0)
-        else:
-            self.times = np.asarray(self.times, dtype=float).ravel()
-            if len(self.times) != len(self.values):
-                raise ValueError("times and values lengths differ")
 
     def __len__(self) -> int:
         return len(self.values)

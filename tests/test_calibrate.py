@@ -9,7 +9,7 @@ from conftest import make_toy_simulator
 from dyncal.calibrate import (BudgetError, MsceConfig, extract_solution,
                               hm_run, msce_run, resolved_config_dict,
                               solve_scalar_contour, write_run_artifacts)
-from dyncal.designs import random_lhd
+from dyncal.designs import maximin_lhd, random_lhd
 from dyncal.gp import fit_gp, predict_batch
 from dyncal.spline_dps import TargetSeries, build_dps
 
@@ -82,6 +82,33 @@ def test_msce_budget_exact_and_origins():
     assert result.training_inputs.shape == (config.N, 2)
     assert result.training_responses.shape == (config.N, sim.spec.L)
     k = len(result.dps.dps)
+    base, rem = divmod(config.N - config.n0, k)
+    assert result.origins.count(0) == config.n0
+    for j in range(1, k + 1):
+        assert result.origins.count(j) == base + (1 if j <= rem else 0)
+
+
+@pytest.mark.parametrize("design", ["maximin", "random"])
+def test_msce_initial_design_option(design):
+    sim = make_toy_simulator()
+    config = small_config(initial_design=design)
+    result = msce_run(sim, toy_target(sim), config)
+    rng = np.random.default_rng([config.seed, 0])
+    expected = (maximin_lhd(config.n0, 2, rng, config.design_iterations)
+                if design == "maximin" else random_lhd(config.n0, 2, rng))
+    assert np.array_equal(result.training_inputs[:config.n0], expected)
+    assert result.budget_used == config.N
+
+
+def test_msce_time_order_solves_knots_in_time_order():
+    sim = make_toy_simulator()
+    config = small_config(dps_order="time")
+    result = msce_run(sim, toy_target(sim), config)
+    knots = sorted(result.dps.dps)
+    assert knots != result.dps.dps  # the order differs from the selection order
+    for rec in result.run_log:
+        assert rec["t_star"] == knots[rec["problem"] - 1]
+    k = len(knots)
     base, rem = divmod(config.N - config.n0, k)
     assert result.origins.count(0) == config.n0
     for j in range(1, k + 1):
@@ -198,7 +225,7 @@ def test_extract_solution_properties(n, d, k, seed, reachable, with_series):
         assert all(len(s) > 0 for s in solution_sets)
 
 
-def test_hm_tiny_cutoff_stops_after_first_stage():
+def test_hm_tiny_cutoff_stops_after_first_stage(tmp_path):
     sim = make_toy_simulator()
     target = toy_target(sim)
     dps = build_dps(TargetSeries(target), 3)
@@ -208,6 +235,8 @@ def test_hm_tiny_cutoff_stops_after_first_stage():
     assert result.budget_used == 6
     assert result.run_log == []
     assert result.training_inputs.shape == (6, 2)
+    write_run_artifacts(tmp_path, result, resolved_config_dict(config), sim)
+    assert (tmp_path / "trace.csv").read_text() == "stage,im_max,x1,x2\n"
 
 
 def test_hm_augments_and_audits():
@@ -234,14 +263,6 @@ def test_hm_rejects_bad_cutoff():
     dps = build_dps(TargetSeries(target), 3)
     with pytest.raises(ValueError):
         hm_run(sim, target, dps, n0=6, cutoff=0.0, config=small_config())
-
-
-def test_hm_accepts_plain_index_list():
-    sim = make_toy_simulator()
-    target = toy_target(sim)
-    result = hm_run(sim, target, [10, 30], n0=5, cutoff=2.0,
-                    config=small_config(hm_stage_limit=2, hm_stage_cap=3))
-    assert result.dps.dps == [10, 30]
 
 
 def test_write_run_artifacts(tmp_path):
@@ -272,3 +293,8 @@ def test_write_run_artifacts(tmp_path):
     assert len(responses_lines[1].split(",")) == config.N + 1
     trace_lines = (run / "trace.csv").read_text().strip().splitlines()
     assert len(trace_lines) == len(result.run_log) + 1
+    assert trace_lines[0] == "iteration,problem,t_star,ei,pred_mean,pred_sd,x1,x2"
+    rec = result.run_log[0]
+    assert trace_lines[1].split(",") == [
+        str(rec["iteration"]), str(rec["problem"]), str(rec["t_star"]), repr(rec["ei"]),
+        repr(rec["pred_mean"]), repr(rec["pred_sd"]), *map(repr, rec["x"])]

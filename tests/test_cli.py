@@ -1,3 +1,4 @@
+import filecmp
 import json
 import stat
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from dyncal import cli
-from dyncal.simulators import target_series
+from dyncal.simulators import get_simulator, target_series
 
 
 def write_series_csv(path, values, times=None):
@@ -158,6 +159,42 @@ def test_mistyped_config_value_is_config_error(tmp_path, capsys, mode, overrides
     assert f"config error: {message}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("mode,overrides,message", [
+    ("calibrate", {"target_csv": 3.5}, "target_csv must be a path string, got 3.5"),
+    ("calibrate", {"target_csv": True}, "target_csv must be a path string, got True"),
+    ("calibrate", {"out_dir": 5}, "out_dir must be a path string, got 5"),
+    ("calibrate", {"simulator": _external_spec(exchange_dir=7), "target": [0.0] * 10},
+     "exchange_dir must be a path string, got 7"),
+    ("calibrate", {"grid-size": 100}, "unknown config key 'grid-size'"),
+    ("hm", {"sead": 1, "cutoff": 0.5}, "unknown config key 'sead'"),
+    ("calibrate", {"mode": "hm"}, "config mode 'hm' does not match the 'calibrate' subcommand"),
+])
+def test_config_key_error_is_config_error(tmp_path, capsys, mode, overrides, message):
+    cfg = toy_calibrate_config(tmp_path, **overrides)
+    rc = cli.main([mode, cfg, "--out-dir", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("mode,overrides", [
+    ("calibrate", {}),
+    ("calibrate", {"target": get_simulator("easom").peek(np.array([0.6, 0.4])).tolist()}),
+    ("hm", {"cutoff": 2.0, "hm_stage_cap": 4, "hm_stage_limit": 2}),
+])
+def test_config_json_replays_the_run(tmp_path, mode, overrides):
+    cfg = toy_calibrate_config(tmp_path, **overrides)
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert cli.main([mode, cfg, "--out-dir", str(first)]) == 0
+    assert cli.main([mode, str(first / "config.json"), "--out-dir", str(replay)]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in replay.iterdir())
+    match, mismatch, errors = filecmp.cmpfiles(first, replay, names, shallow=False)
+    assert (mismatch, errors) == ([], [])
 
 
 def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys):

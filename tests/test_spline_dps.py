@@ -102,8 +102,6 @@ def test_target_series_validation():
         TargetSeries(np.ones(4))
     with pytest.raises(ValueError):
         TargetSeries(np.array([1.0, 2.0, np.inf, 3.0, 4.0]))
-    with pytest.raises(ValueError):
-        TargetSeries(np.ones(6), times=np.ones(5))
 
 
 def test_greedy_stage_one_is_exhaustive_scan():
