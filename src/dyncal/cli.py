@@ -115,6 +115,10 @@ def _build_simulator(cfg: dict) -> Simulator:
     if isinstance(sim, str):
         return get_simulator(sim)
     if isinstance(sim, dict):
+        unknown = sorted(set(sim) - {"name", "d", "L", "bounds", "time_grid", "command",
+                                     "exchange_dir", "timeout"})
+        if unknown:
+            raise ValueError(f"unknown simulator key {unknown[0]!r}")
         exchange = (os.environ.get(EXCHANGE_DIR_ENV)
                     or sim.get("exchange_dir")
                     or "exchange")

@@ -25,7 +25,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 
 def _rng(seed) -> np.random.Generator:
@@ -74,11 +73,17 @@ def is_latin_hypercube(points: np.ndarray) -> bool:
 
 
 def min_pairwise_distance(points: np.ndarray) -> float:
-    """Smallest Euclidean distance between any two design points."""
-    points = np.asarray(points)
+    """Smallest Euclidean distance between any two design points.
+
+    The squared distances are summed column by column, as `pdist` sums them,
+    and sqrt is correctly rounded and so monotone: the result is bit-equal to
+    `pdist(points).min()`.
+    """
+    points = np.asarray(points, dtype=float)
     if points.shape[0] < 2:
         raise ValueError("minimum pairwise distance needs at least 2 points")
-    return float(pdist(points).min())
+    i, j = _pair_indices(points.shape[0])
+    return math.sqrt(np.minimum.reduce(_squared_distances(points[i] - points[j])))
 
 
 @lru_cache(maxsize=16)

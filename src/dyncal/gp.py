@@ -20,8 +20,9 @@ the concentrated likelihood (Roustant, Ginsbourger & Deville 2012) needs only
 
 and the prediction weights are alpha = L^-T w, one more triangular solve.
 A fit allocates one `_Workspace` and every likelihood evaluation reuses it:
-R is refilled in place, the nugget goes into a view of its diagonal, and the
-right-hand side [y, 1] is written once.
+R is refilled in place in Fortran order, 1 + nugget goes into a view of its
+diagonal, potrf factors it in place, and the right-hand side [y, 1] is
+written once.
 
 The kernel is written once: `_powered` gives |a_k - b_k|^p for every pair of
 rows, and `_corr` turns those into correlations for one theta. Fitting,
@@ -80,12 +81,13 @@ def _corr(powered: np.ndarray, theta: np.ndarray,
           out: np.ndarray | None = None) -> np.ndarray:
     """Power-exponential correlations from the powered distances, shape (n_A, n_B).
 
-    Written into out (contiguous, shape (n_A, n_B)) when it is given.
+    Written into out (contiguous, shape (n_A, n_B)) when it is given. The sign
+    goes into theta: negation is exact and rounding is symmetric in sign, so
+    powered @ -theta is bit-equal to -(powered @ theta).
     """
     n_a, n_b, d = powered.shape
-    flat = np.matmul(powered.reshape(-1, d), theta,
+    flat = np.matmul(powered.reshape(-1, d), -theta,
                      out=None if out is None else out.reshape(-1))
-    np.negative(flat, out=flat)
     np.exp(flat, out=flat)
     return flat.reshape(n_a, n_b)
 
@@ -135,16 +137,17 @@ class _Workspace:
     """Buffers for the likelihood evaluations of one fit, allocated once.
 
     powered: the powered distances of the training inputs, shape (n, n, d).
-    R: the n x n correlation matrix, refilled in place for every theta.
-    diagonal: a writable strided view of R's diagonal, where the nugget goes.
+    R: the n x n correlation matrix in Fortran order, refilled for every theta
+        and overwritten by its Cholesky factor (potrf needs no copy of it).
+    diagonal: a writable strided view of R's diagonal, where 1 + nugget goes.
     rhs: the right-hand side [y, 1] of the triangular solve, Fortran order.
     """
 
     def __init__(self, powered: np.ndarray, y_std: np.ndarray):
         n = len(y_std)
         self.powered = powered
-        self.R = np.empty((n, n))
-        self.diagonal = self.R.reshape(-1)[::n + 1]
+        self.R = np.empty((n, n), order="F")
+        self.diagonal = self.R.T.reshape(-1)[::n + 1]
         self.rhs = np.empty((n, 2), order="F")
         self.rhs[:, 0] = y_std
         self.rhs[:, 1] = 1.0
@@ -154,17 +157,21 @@ def _factor(ws: _Workspace, theta: np.ndarray, start: float, cap: float,
             clean: bool = True):
     """Lower Cholesky factor of R(theta) + nugget*I, escalating the nugget tenfold up to cap.
 
-    Fills ws.R with the correlations and writes the nugget into its diagonal.
-    Returns (L, nugget), with L None when R is not positive definite even at
-    the cap. With clean=False the upper triangle of L is left as potrf leaves
-    it, which only the triangular solves of the fit ever read past.
+    Fills ws.R with the correlations, writes 1 + nugget into its diagonal (a
+    correlation at zero distance is exactly 1) and factors it in place, so
+    the L returned is ws.R itself; a failed factorization leaves R partly
+    overwritten, and R is refilled before the next nugget. The powered
+    distances are symmetric, so R fills as its own transpose. Returns
+    (L, nugget), with L None when R is not positive definite even at the cap.
+    With clean=False the upper triangle of L is left as potrf leaves it,
+    which only the triangular solves of the fit ever read past.
     """
-    _corr(ws.powered, theta, out=ws.R)
-    base = ws.diagonal.copy()
     nugget = start
     while True:
-        np.add(base, nugget, out=ws.diagonal)
-        L, info = dpotrf(ws.R, lower=1, clean=clean)
+        _corr(ws.powered, theta, out=ws.R.T)
+        ws.diagonal[:] = 1.0 + nugget
+        # lower, clean, overwrite_a, given positionally: f2py parses keywords slowly
+        L, info = dpotrf(ws.R, 1, clean, 1)
         if info == 0:
             return L, nugget
         if nugget >= cap:
@@ -179,7 +186,7 @@ def _profile(L: np.ndarray, rhs: np.ndarray):
     generalized-least-squares mean, the profile variance, log|R| and the
     whitened residual w = L^-1 (y - mu 1).
     """
-    ab, _ = dtrtrs(L, rhs, lower=1)
+    ab, _ = dtrtrs(L, rhs, 1)
     a, b = ab[:, 0], ab[:, 1]
     mu = (b @ a) / (b @ b)
     w = a - mu * b

@@ -7,6 +7,11 @@ selected knots. The number of points to keep is then read off the MSE-vs-knots
 curve at its elbow. Knots are indexed on the integer grid 1..L; conversion to
 physical times is presentation only.
 
+The B-spline basis is built here, in numpy, by the Cox-de Boor recursion
+vectorized over all time indices (`_design_matrix`); it is bit-equal to
+scipy's `BSpline.design_matrix`, which dyncal does not import because
+`scipy.interpolate` alone would take about a third of the process start-up.
+
 A stage does not refit the spline once per admissible index. Adding knot c
 adds the one direction (t - c)_+^3 to the spline space, so every index is
 scored at once from an orthonormal basis of the current space, in column
@@ -19,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 
 @dataclass
@@ -76,12 +80,38 @@ def _design_matrix(n: int, interior_knots) -> np.ndarray:
     Columns are an intercept plus the cubic B-spline basis on boundary knots
     {1, n} (multiplicity 4) with the first basis function dropped, so the
     matrix is full rank while spanning the complete spline space.
+
+    The basis is the Cox-de Boor recursion (de Boor 1978, *A Practical Guide
+    to Splines*), run for all n points at once. Each point x gets the interval
+    l with t[l] <= x < t[l + 1], clipped to [3, nb - 1] so that x = n falls in
+    the last one. Stage j = 1, 2, 3 turns the j values of degree j - 1 into
+    j + 1 values of degree j with the operations of scipy's `_deBoor_D`, in
+    its order: w = h[m-1] / (xb - xa), h[m-1] += w (xb - x), h[m] = w (x - xa),
+    and w = 0 where xb == xa. The matrix is therefore bit-equal to
+    `BSpline.design_matrix(x, t, 3).toarray()` with its first column replaced.
     """
     x = np.arange(1.0, n + 1.0)
     knots = np.sort(np.asarray(interior_knots, dtype=float))
-    kv = np.concatenate([[1.0] * 4, knots, [float(n)] * 4])
-    B = BSpline.design_matrix(x, kv, 3, extrapolate=False).toarray()
-    return np.column_stack([np.ones(n), B[:, 1:]])
+    t = np.concatenate([[1.0] * 4, knots, [float(n)] * 4])
+    nb = len(t) - 4
+    ell = np.clip(np.searchsorted(t, x, side="right") - 1, 3, nb - 1)
+    h = np.zeros((4, n))
+    h[0] = 1.0
+    for j in range(1, 4):
+        prev = h[:j].copy()
+        h[0] = 0.0
+        for m in range(1, j + 1):
+            xb, xa = t[ell + m], t[ell + m - j]
+            span = xb - xa
+            w = np.divide(prev[m - 1], span, out=np.zeros(n), where=span != 0.0)
+            h[m - 1] += w * (xb - x)
+            h[m] = w * (x - xa)
+    A = np.zeros((n, nb))
+    rows = np.arange(n)
+    for i in range(4):
+        A[rows, ell - 3 + i] = h[i]
+    A[:, 0] = 1.0
+    return A
 
 
 def fit_cubic_spline(series: TargetSeries, interior_knots) -> SplineFit:

@@ -1,12 +1,16 @@
 import filecmp
 import json
+import os
 import stat
+import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dyncal
 from dyncal import cli
 from dyncal.simulators import get_simulator, target_series
 
@@ -170,6 +174,8 @@ def test_mistyped_config_value_is_config_error(tmp_path, capsys, mode, overrides
     ("calibrate", {"grid-size": 100}, "unknown config key 'grid-size'"),
     ("hm", {"sead": 1, "cutoff": 0.5}, "unknown config key 'sead'"),
     ("calibrate", {"mode": "hm"}, "config mode 'hm' does not match the 'calibrate' subcommand"),
+    ("calibrate", {"simulator": _external_spec(timout=5), "target": [0.0] * 10},
+     "unknown simulator key 'timout'"),
 ])
 def test_config_key_error_is_config_error(tmp_path, capsys, mode, overrides, message):
     cfg = toy_calibrate_config(tmp_path, **overrides)
@@ -305,3 +311,17 @@ def test_evaluate_missing_file(tmp_path, capsys):
     a = write_series_csv(tmp_path / "a.csv", g0)
     rc = cli.main(["evaluate", a, str(tmp_path / "nope.csv")])
     assert rc == cli.EXIT_PARSE
+
+
+def test_cli_import_leaves_out_the_slow_scipy_modules():
+    """A fresh `import dyncal.cli` loads no scipy module beyond scipy.linalg
+    and scipy.special: every CLI run and simulator wrapper pays its imports."""
+    slow = ("scipy.interpolate", "scipy.sparse", "scipy.spatial", "scipy.optimize")
+    code = ("import sys, dyncal.cli; "
+            f"print(' '.join(m for m in {slow!r} if m in sys.modules))")
+    package_parent = str(Path(dyncal.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=package_parent)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

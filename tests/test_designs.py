@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from dyncal.designs import (_exchange_optimize, _Pcg64Draws, is_latin_hypercube,
                             maximin_lhd, maxpro_criterion, maxpro_lhd,
@@ -92,11 +93,15 @@ def _brute_force_optimum(cost):
     return best
 
 
+def _maximin_cost(points):
+    """The maximin cost from scipy, independent of `min_pairwise_distance`."""
+    return -float(pdist(points).min())
+
+
 def test_maximin_exhaustive_permutation_oracle():
-    cost = lambda pts: -min_pairwise_distance(pts)
-    truth = _brute_force_optimum(cost)
+    truth = _brute_force_optimum(_maximin_cost)
     out = _exchange_optimize(_grid_3x2(), "maximin", np.random.default_rng(5), 3000)
-    assert cost(out) == pytest.approx(truth, rel=1e-12)
+    assert _maximin_cost(out) == pytest.approx(truth, rel=1e-12)
 
 
 def test_maxpro_exhaustive_permutation_oracle():
@@ -145,7 +150,7 @@ def _reference_exchange(points, cost, rng, iterations):
 def test_incremental_exchange_matches_full_recompute(n, d, iterations, criterion, seed,
                                                      buffered):
     optimize, cost = {
-        "maximin": (maximin_lhd, lambda pts: -min_pairwise_distance(pts)),
+        "maximin": (maximin_lhd, _maximin_cost),
         "maxpro": (maxpro_lhd, maxpro_criterion),
     }[criterion]
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -158,6 +163,20 @@ def test_incremental_exchange_matches_full_recompute(n, d, iterations, criterion
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     if not buffered:
         assert np.array_equal(optimize(n, d, seed=seed, iterations=iterations), want)
+
+
+@given(n=st.integers(2, 40), d=st.integers(1, 8), seed=st.integers(0, 2**31),
+       scale=st.floats(-6.0, 6.0), digits=st.one_of(st.none(), st.integers(0, 3)))
+@example(n=2, d=1, seed=0, scale=0.0, digits=None)
+@example(n=12, d=3, seed=1, scale=0.0, digits=1)  # many tied and zero distances
+@settings(max_examples=200, deadline=None)
+def test_min_pairwise_distance_bit_equal_to_pdist(n, d, seed, scale, digits):
+    points = np.random.default_rng(seed).uniform(size=(n, d)) * 10.0 ** scale
+    if digits is not None:
+        points = np.round(points, digits)
+    got = min_pairwise_distance(points)
+    assert type(got) is float
+    assert got == float(pdist(points).min())
 
 
 @given(seed=st.integers(0, 2**31), buffered=st.booleans(),

@@ -461,6 +461,59 @@ def test_objective_bit_equal_to_reference_over_many_escalation_steps():
         assert (want == _NLL_BAD) == (lt[0] < 0)
 
 
+def _reference_model_parts(X, y, theta, p, start, cap):
+    """(nugget, chol, alpha, mu_std, sigma2_std) written with fresh arrays:
+    R = exp(-(powered @ theta)) in C order, the nugget added to a copy of its
+    diagonal, a copying and cleaning potrf, keyword f2py arguments."""
+    n, d = X.shape
+    y_std = (y - np.mean(y)) / np.std(y)
+    R = np.exp(-(_powered(X, X, p).reshape(-1, d) @ theta)).reshape(n, n)
+    base = R.diagonal().copy()
+    nugget = start
+    while True:
+        R.flat[::n + 1] = base + nugget
+        L, info = dpotrf(R, lower=1, clean=1)
+        if info == 0:
+            break
+        assert nugget < cap
+        nugget = min(nugget * 10.0, cap)
+    rhs = np.empty((n, 2), order="F")
+    rhs[:, 0] = y_std
+    rhs[:, 1] = 1.0
+    ab, _ = dtrtrs(L, rhs, lower=1)
+    a, b = ab[:, 0], ab[:, 1]
+    mu = (b @ a) / (b @ b)
+    w = a - mu * b
+    alpha, _ = dtrtrs(L, w, lower=1, trans=1)
+    return nugget, L, alpha, mu, (w @ w) / n
+
+
+def test_fit_bit_equal_to_reference_with_a_duplicated_row():
+    # exactly repeated training rows make R singular until 1 + nugget > 1,
+    # so the nugget escalates from 1e-20 both in the fit and in its objective
+    X = random_lhd(14, 2, seed=0)
+    X = np.vstack([X, X[[0, 3]]])
+    y = np.sin(5 * X[:, 0]) + X[:, 1]
+    cfg = FitConfig(nugget_start=1e-20)
+    cases = _objective_cases(X, cfg)
+    assert all(got == want for got, want in cases)
+    assert all(want != _NLL_BAD for _, want in cases[:-2])
+
+    model = fit_gp(X, y, cfg)
+    nugget, L, alpha, mu_std, sigma2_std = _reference_model_parts(
+        X, y, model.spec.theta, cfg.p, cfg.nugget_start, cfg.nugget_cap)
+    assert nugget > cfg.nugget_start
+    assert model.nugget == nugget
+    assert np.array_equal(model.chol, L)
+    assert np.array_equal(model.alpha, alpha)
+    assert (model.mu_std, model.sigma2_std) == (mu_std, sigma2_std)
+    x_star = random_lhd(50, 2, seed=8)
+    means, _ = predict_batch(model, x_star)
+    r = np.exp(-(_powered(X, x_star, cfg.p).reshape(-1, 2) @ model.spec.theta))
+    r = r.reshape(len(X), -1)
+    assert np.array_equal(means, model.y_mean + model.y_scale * (mu_std + r.T @ alpha))
+
+
 def _quadratic(x, center):
     return float(np.sum(np.arange(1, len(x) + 1) * (x - center) ** 2))
 

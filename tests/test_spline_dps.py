@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import BSpline
 
 from dyncal.simulators import target_series
 from dyncal.spline_dps import (DpsResult, TargetSeries, _design_matrix,
@@ -42,6 +43,42 @@ def oracle_spline_mse(values, interior_knots):
     coef, *_ = np.linalg.lstsq(A, values, rcond=None)
     resid = values - A @ coef
     return float(np.mean(resid ** 2))
+
+
+def _scipy_design_matrix(n, interior_knots):
+    """The regression matrix from scipy's B-spline basis, first column replaced
+    by the intercept."""
+    x = np.arange(1.0, n + 1.0)
+    kv = np.concatenate([[1.0] * 4, np.sort(np.asarray(interior_knots, float)),
+                         [float(n)] * 4])
+    B = BSpline.design_matrix(x, kv, 3, extrapolate=False).toarray()
+    return np.column_stack([np.ones(n), B[:, 1:]])
+
+
+@given(L=st.integers(8, 2000), count=st.integers(0, 30), seed=st.integers(0, 2**31),
+       layout=st.sampled_from(["random", "packed_start", "packed_end", "with_last"]))
+@example(L=8, count=0, seed=0, layout="random")
+@example(L=8, count=3, seed=0, layout="packed_start")
+@example(L=2000, count=30, seed=1, layout="packed_end")
+@example(L=1500, count=3, seed=2, layout="with_last")
+@settings(max_examples=150, deadline=None)
+def test_design_matrix_bit_equal_to_scipy(L, count, seed, layout):
+    """Exact equality: the basis makes scipy's operations in scipy's order
+    (an FMA-contracting build of scipy could differ in the last bit)."""
+    count = min(count, L - 5)
+    rng = np.random.default_rng(seed)
+    if layout == "packed_start":
+        knots = list(range(2, 2 + count))
+    elif layout == "packed_end":
+        knots = list(range(L - count, L))
+    else:
+        knots = rng.choice(np.arange(2, L - 1), size=count, replace=False).tolist()
+        if layout == "with_last":
+            knots = [L - 1] + knots[:max(count - 1, 0)]
+    got = _design_matrix(L, knots)
+    want = _scipy_design_matrix(L, knots)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_fit_matches_textbook_oracle_on_easom_dps_knots():
