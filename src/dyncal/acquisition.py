@@ -84,7 +84,6 @@ def implausibility(pred_mean, pred_sd, target_value):
     mean, sd = np.atleast_1d(mean), np.atleast_1d(sd)
     mean, sd = np.broadcast_arrays(mean, sd)
     num = np.abs(mean - target_value)
-    out = np.empty(mean.shape)
     tiny = sd < IM_SD_FLOOR
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(tiny, np.where(num < IM_SD_FLOOR, 0.0, np.inf), num / np.where(tiny, 1.0, sd))
@@ -94,14 +93,8 @@ def implausibility(pred_mean, pred_sd, target_value):
 def implausibility_max(pred_means, pred_sds, target_values):
     """Max of the per-index implausibilities over the DPS.
 
-    pred_means/pred_sds: arrays of shape (k,) or (k, m) for m candidates;
-    target_values: length-k targets. Returns a scalar or a length-m array.
+    pred_means/pred_sds: arrays of shape (k, m) for m candidates;
+    target_values: length-k targets. Returns a length-m array.
     """
-    means = np.atleast_1d(np.asarray(pred_means, dtype=float))
-    sds = np.atleast_1d(np.asarray(pred_sds, dtype=float))
     targets = np.asarray(target_values, dtype=float)
-    if means.ndim == 1:
-        ims = [implausibility(means[j], sds[j], targets[j]) for j in range(len(targets))]
-        return float(np.max(ims))
-    ims = np.stack([implausibility(means[j], sds[j], targets[j]) for j in range(len(targets))])
-    return np.max(ims, axis=0)
+    return np.max(implausibility(pred_means, pred_sds, targets[:, None]), axis=0)

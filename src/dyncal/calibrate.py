@@ -270,7 +270,7 @@ def extract_solution(models: list[GpModel], targets: list[float],
     return x_opt, solution_sets, flags
 
 
-def _checked_target(target, simulator: Simulator) -> TargetSeries:
+def checked_target(target, simulator: Simulator) -> TargetSeries:
     """target as a TargetSeries; ValueError unless its length is the simulator's L."""
     series = target if isinstance(target, TargetSeries) else TargetSeries(target)
     if len(series) != simulator.spec.L:
@@ -286,7 +286,7 @@ def msce_run(simulator: Simulator, target, config: MsceConfig) -> CalibrationRes
     split approximately evenly over the DPS problems (earlier problems take
     the leftovers, since they double as global exploration).
     """
-    series = _checked_target(target, simulator)
+    series = checked_target(target, simulator)
     d = simulator.spec.d
 
     dps_result = build_dps(series, config.k_max)
@@ -346,7 +346,7 @@ def hm_run(simulator: Simulator, target, dps: DpsResult, n0: int, cutoff: float,
     """
     if cutoff <= 0:
         raise ValueError(f"implausibility cutoff must be positive, got {cutoff!r}")
-    series = _checked_target(target, simulator)
+    series = checked_target(target, simulator)
     spec = simulator.spec
     indices = list(dps.dps)
     targets = np.array([series.values[t - 1] for t in indices])
@@ -404,12 +404,19 @@ def hm_run(simulator: Simulator, target, dps: DpsResult, n0: int, cutoff: float,
     )
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
+def write_csv(path, header: list, rows) -> None:
     """One header line, then one line per row of Python numbers, each as its repr."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(map(repr, row)) + "\n")
+
+
+def write_json(path, payload) -> None:
+    """payload as JSON with sorted keys and indent 2, then a newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_run_artifacts(run_dir, result: CalibrationResult, resolved_config: dict,
@@ -420,20 +427,18 @@ def write_run_artifacts(run_dir, result: CalibrationResult, resolved_config: dic
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    with open(run_dir / "config.json", "w") as fh:
-        json.dump(resolved_config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(run_dir / "config.json", resolved_config)
 
     X = result.training_inputs
     xs = [f"x{k + 1}" for k in range(X.shape[1])]
-    _write_csv(run_dir / "training.csv", ["order", "origin", *xs],
-               ([i, origin, *x] for i, (origin, x)
-                in enumerate(zip(result.origins, X.tolist()), start=1)))
+    write_csv(run_dir / "training.csv", ["order", "origin", *xs],
+              ([i, origin, *x] for i, (origin, x)
+               in enumerate(zip(result.origins, X.tolist()), start=1)))
 
     Y = result.training_responses  # stored (n, L); exported L x N
     times = simulator.spec.time_grid.tolist()
-    _write_csv(run_dir / "responses.csv", ["t", *(f"y{i + 1}" for i in range(len(Y)))],
-               ([t, *y] for t, y in zip(times, Y.T.tolist())))
+    write_csv(run_dir / "responses.csv", ["t", *(f"y{i + 1}" for i in range(len(Y)))],
+              ([t, *y] for t, y in zip(times, Y.T.tolist())))
 
     payload = {
         "x_opt": [float(v) for v in result.x_opt],
@@ -443,16 +448,14 @@ def write_run_artifacts(run_dir, result: CalibrationResult, resolved_config: dic
         "dps": result.dps.to_dict(),
         "x_opt_native": [float(v) for v in simulator.spec.unscale(result.x_opt)],
     }
-    with open(run_dir / "result.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(run_dir / "result.json", payload)
 
-    _write_csv(run_dir / "solution.csv", ["t", "target", "response_at_solution"],
-               zip(times, result.target.tolist(), result.response_at_opt.tolist()))
+    write_csv(run_dir / "solution.csv", ["t", "target", "response_at_solution"],
+              zip(times, result.target.tolist(), result.response_at_opt.tolist()))
 
     columns = result.trace_columns
-    _write_csv(run_dir / "trace.csv", [*columns, *xs],
-               ([*(rec[c] for c in columns), *rec["x"]] for rec in result.run_log))
+    write_csv(run_dir / "trace.csv", [*columns, *xs],
+              ([*(rec[c] for c in columns), *rec["x"]] for rec in result.run_log))
 
 
 def resolved_config_dict(config: MsceConfig, extra: dict | None = None) -> dict:

@@ -45,55 +45,49 @@ class InputError(Exception):
     """Unreadable or malformed input file."""
 
 
+def _read_csv(path, names: list[str]) -> np.ndarray:
+    """The numbers of a CSV file as an (n, len(names)) float array.
+
+    Blank lines are skipped. The first other line is a header, and skipped,
+    when its cells are `names` up to case and surrounding spaces. Every other
+    line must hold len(names) finite numbers; an error names its file line.
+    """
+    try:
+        with open(path, newline="") as fh:
+            lines = [(i, row) for i, row in enumerate(csv.reader(fh), start=1) if row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"cannot read {path}: {exc}")
+    if lines and [c.strip().lower() for c in lines[0][1]] == names:
+        del lines[0]
+    values: list[float] = []
+    for i, row in lines:
+        if len(row) != len(names):
+            raise InputError(f"{path}: row {i} has {len(row)} fields, expected {len(names)}")
+        try:
+            values.extend(map(float, row))
+        except ValueError:
+            raise InputError(f"{path}: row {i} is not numeric: {row!r}")
+    data = np.array(values).reshape(len(lines), len(names))
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        i, row = lines[int(np.argmin(finite))]
+        raise InputError(f"{path}: row {i} is not finite: {row!r}")
+    return data
+
+
 def _read_series_csv(path) -> TargetSeries:
-    """Read a t,value series; parse errors name the offending row."""
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}")
-    if not rows:
-        raise InputError(f"{path}: empty file")
-    start = 1 if [c.strip().lower() for c in rows[0]] == ["t", "value"] else 0
-    values = []
-    for i, row in enumerate(rows[start:], start=start + 1):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise InputError(f"{path}: row {i} has {len(row)} fields, expected 2")
-        try:
-            float(row[0])  # checked only: knots are the indices 1..L
-            values.append(float(row[1]))
-        except ValueError:
-            raise InputError(f"{path}: row {i} is not numeric: {row!r}")
-    if not values:
+    """A t,value series; the t values are checked only, as knots are the indices 1..L."""
+    data = _read_csv(path, ["t", "value"])
+    if not len(data):
         raise InputError(f"{path}: no data rows")
-    return TargetSeries(np.array(values))
-
-
-def _read_inputs_csv(path) -> np.ndarray:
-    try:
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r]
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}")
-    if not rows:
-        return np.empty((0, 0))
-    start = 1 if rows[0] and rows[0][0].strip().lower().startswith("x") else 0
-    data = []
-    for i, row in enumerate(rows[start:], start=start + 1):
-        try:
-            data.append([float(v) for v in row])
-        except ValueError:
-            raise InputError(f"{path}: row {i} is not numeric: {row!r}")
-    return np.array(data) if data else np.empty((0, 0))
+    return TargetSeries(data[:, 1])
 
 
 def _load_config(path) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}")
@@ -110,8 +104,8 @@ def _numbers(value, name: str) -> np.ndarray:
     return out
 
 
-def _build_simulator(cfg: dict) -> Simulator:
-    sim = cfg.get("simulator")
+def _build_simulator(sim) -> Simulator:
+    """A bundled simulator by name, or an external one from its spec dict."""
     if isinstance(sim, str):
         return get_simulator(sim)
     if isinstance(sim, dict):
@@ -135,6 +129,8 @@ def _build_simulator(cfg: dict) -> Simulator:
             native_bounds=[(cal.check_number(lo, "simulator bound"),
                             cal.check_number(hi, "simulator bound")) for lo, hi in bounds],
         )
+        if not sim["command"]:
+            raise ValueError("simulator command must not be empty")
         return ExternalSimulator(spec, sim["command"], exchange,
                                  timeout=float(cal.check_number(sim.get("timeout", 60.0),
                                                                 "simulator timeout")))
@@ -167,13 +163,8 @@ def _cmd_dps(args) -> int:
     result = build_dps(series, k_max=args.k_max)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "dps.json", "w") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out / "mse_path.csv", "w") as fh:
-        fh.write("knots,mse\n")
-        for i, v in enumerate(result.mse_path):
-            fh.write(f"{i},{float(v)!r}\n")
+    cal.write_json(out / "dps.json", result.to_dict())
+    cal.write_csv(out / "mse_path.csv", ["knots", "mse"], enumerate(result.mse_path.tolist()))
     print(f"dps: {result.dps} (k={result.k_selected}) -> {out}")
     return EXIT_OK
 
@@ -185,23 +176,24 @@ def _run_common(args, mode: str) -> int:
     _check_run_keys(cfg, mode)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    simulator = _build_simulator(cfg)
+    simulator = _build_simulator(cfg.get("simulator"))
     config = _msce_config(cfg)
     if "target" in cfg:
         target = _numbers(cfg["target"], "target")
     elif "target_csv" in cfg:
-        target = _read_series_csv(cfg["target_csv"]).values
+        target = _read_series_csv(cfg["target_csv"])
     elif isinstance(cfg["simulator"], str):
         target = target_series(cfg["simulator"])
     else:
         raise ValueError("an external-simulator config needs 'target' or 'target_csv'")
+    series = cal.checked_target(target, simulator)
 
     if mode == "calibrate":
-        result = cal.msce_run(simulator, target, config)
+        result = cal.msce_run(simulator, series, config)
     else:
         cutoff = float(cal.check_number(cfg.get("cutoff", 0.0), "cutoff"))
-        dps = build_dps(TargetSeries(target), config.k_max)
-        result = cal.hm_run(simulator, target, dps, config.n0, cutoff, config)
+        dps = build_dps(series, config.k_max)
+        result = cal.hm_run(simulator, series, dps, config.n0, cutoff, config)
 
     out_dir = Path(args.out_dir or cfg.get("out_dir") or f"{mode}_run")
     recorded = ("target", "target_csv") + (("cutoff",) if mode == "hm" else ())
@@ -218,29 +210,18 @@ def _run_common(args, mode: str) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.command:
-        exchange = os.environ.get(EXCHANGE_DIR_ENV, args.exchange_dir or "exchange")
-        spec = SimulatorSpec(name="external", d=args.d, L=args.L,
-                             time_grid=np.arange(1, args.L + 1),
-                             native_bounds=[(0.0, 1.0)] * args.d)
-        simulator = ExternalSimulator(spec, args.command.split(), exchange)
-    else:
-        simulator = get_simulator(args.simulator)
-    inputs = _read_inputs_csv(args.inputs)
+    simulator = _build_simulator(args.simulator or {
+        "command": args.command.split(), "d": args.d, "L": args.L,
+        "bounds": [[0.0, 1.0]] * args.d, "exchange_dir": args.exchange_dir})
+    inputs = _read_csv(args.inputs, [f"x{k + 1}" for k in range(simulator.spec.d)])
     out_path = Path(args.out or "responses.csv")
-    if inputs.size == 0:
-        out_path.write_text("t\n")
+    if not len(inputs):
+        cal.write_csv(out_path, ["t"], [])
         return EXIT_OK
-    if inputs.shape[1] != simulator.spec.d:
-        raise InputError(
-            f"{args.inputs}: {inputs.shape[1]} columns, simulator needs {simulator.spec.d}")
-    runs = [simulator.run(simulator.spec.scale(x)) if not args.scaled
-            else simulator.run(x) for x in inputs]
-    with open(out_path, "w") as fh:
-        fh.write("t," + ",".join(f"y{i + 1}" for i in range(len(runs))) + "\n")
-        for j in range(simulator.spec.L):
-            fh.write(repr(float(simulator.spec.time_grid[j])) + ","
-                     + ",".join(repr(float(r[j])) for r in runs) + "\n")
+    runs = [simulator.run(x if args.scaled else simulator.spec.scale(x)).tolist()
+            for x in inputs]
+    cal.write_csv(out_path, ["t", *(f"y{i + 1}" for i in range(len(runs)))],
+                  zip(simulator.spec.time_grid.tolist(), *runs))
     print(f"{len(runs)} runs -> {out_path}")
     return EXIT_OK
 

@@ -51,20 +51,16 @@ class SimulatorSpec:
         for lo, hi in self.native_bounds:
             if not lo < hi:
                 raise ValueError(f"bad native bounds ({lo}, {hi})")
+        self._lo = np.array([b[0] for b in self.native_bounds])
+        self._hi = np.array([b[1] for b in self.native_bounds])
 
     def unscale(self, x_scaled) -> np.ndarray:
         """Map a point from [0,1]^d to native units."""
-        x = np.asarray(x_scaled, dtype=float)
-        lo = np.array([b[0] for b in self.native_bounds])
-        hi = np.array([b[1] for b in self.native_bounds])
-        return lo + x * (hi - lo)
+        return self._lo + np.asarray(x_scaled, dtype=float) * (self._hi - self._lo)
 
     def scale(self, x_native) -> np.ndarray:
         """Inverse of unscale."""
-        x = np.asarray(x_native, dtype=float)
-        lo = np.array([b[0] for b in self.native_bounds])
-        hi = np.array([b[1] for b in self.native_bounds])
-        return (x - lo) / (hi - lo)
+        return (np.asarray(x_native, dtype=float) - self._lo) / (self._hi - self._lo)
 
 
 def easom(x, t):

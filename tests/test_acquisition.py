@@ -134,12 +134,12 @@ def test_implausibility_scale_equivariance(mean, sd, target, c):
 
 
 def test_implausibility_max_cases():
-    assert implausibility_max([2.0], [1.0], [1.0]) == 1.0
-    means = np.array([1.3, 4.1, 2.9])
-    sds = np.ones(3)
+    assert implausibility_max([[2.0]], [[1.0]], [1.0]).tolist() == [1.0]
+    means = np.array([[1.3], [4.1], [2.9]])  # (k=3, m=1)
+    sds = np.ones((3, 1))
     targets = np.array([1.0, 2.0, 2.0])
-    assert implausibility_max(means, sds, targets) == pytest.approx(2.1)
-    assert implausibility_max(targets, sds, targets) == 0.0
+    assert implausibility_max(means, sds, targets) == pytest.approx([2.1])
+    assert implausibility_max(targets[:, None], sds, targets).tolist() == [0.0]
 
 
 def test_implausibility_max_batched():

@@ -13,6 +13,7 @@ import pytest
 import dyncal
 from dyncal import cli
 from dyncal.simulators import get_simulator, target_series
+from dyncal.spline_dps import TargetSeries, build_dps
 
 
 def write_series_csv(path, values, times=None):
@@ -45,12 +46,18 @@ def test_dps_subcommand(tmp_path, easom_target_csv):
     out = tmp_path / "dps_out"
     rc = cli.main(["dps", easom_target_csv, "--k-max", "4", "--out-dir", str(out)])
     assert rc == 0
-    payload = json.loads((out / "dps.json").read_text())
+    text = (out / "dps.json").read_text()
+    payload = json.loads(text)
     assert payload["dps"] == [145, 37, 132]
     assert payload["k_selected"] == 3
-    lines = (out / "mse_path.csv").read_text().strip().splitlines()
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    expected = build_dps(TargetSeries(target_series("easom")), k_max=4)
+    assert payload == expected.to_dict()
+    lines = (out / "mse_path.csv").read_text().splitlines()
     assert lines[0] == "knots,mse"
     assert len(lines) == 6
+    for i, mse in enumerate(expected.mse_path.tolist()):
+        assert lines[i + 1] == f"{i},{mse!r}"
 
 
 def test_dps_malformed_csv_names_row(tmp_path, capsys):
@@ -59,6 +66,57 @@ def test_dps_malformed_csv_names_row(tmp_path, capsys):
     rc = cli.main(["dps", str(bad)])
     assert rc == cli.EXIT_PARSE
     assert "row 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd,content,message", [
+    ("simulate", b"x1,x2\n0.1,0.2\n0.3\n", "row 3 has 1 fields, expected 2"),
+    ("simulate", b"x1,x2\n0.1,0.2\nnan,0.5\n", "row 3 is not finite"),
+    ("simulate", b"x1,x2\ninf,0.5\n", "row 2 is not finite"),
+    ("simulate", b"x1,x2\n\n0.1,abc\n", "row 3 is not numeric"),
+    ("dps", b"t,value\n1,1.0\n2,nan\n3,2.0\n4,2.0\n5,2.0\n", "row 3 is not finite"),
+    ("dps", b"t,value\n1,1.0\n\n3,1e999\n4,2.0\n5,2.0\n6,1.0\n", "row 4 is not finite"),
+    ("dps", b"t,value\n1,\xff\n", "cannot read"),
+], ids=["ragged", "nan", "inf", "blank-before-bad", "series-nan", "series-overflow",
+        "not-utf8"])
+def test_malformed_csv_is_input_error(tmp_path, capsys, cmd, content, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(content)
+    out = tmp_path / "out"
+    argv = (["simulate", "--simulator", "easom", str(bad), "--out", str(out)]
+            if cmd == "simulate" else ["dps", str(bad), "--out-dir", str(out)])
+    assert cli.main(argv) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert message in err and str(bad) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_blank_first_line_is_not_data(tmp_path, easom_target_csv):
+    text = Path(easom_target_csv).read_text()
+    blank = tmp_path / "blank.csv"
+    blank.write_text("\n" + text)
+    for name, path in (("plain", easom_target_csv), ("blank", blank)):
+        assert cli.main(["dps", str(path), "--k-max", "3", "--out-dir",
+                         str(tmp_path / f"dps_{name}")]) == 0
+    assert ((tmp_path / "dps_plain" / "dps.json").read_bytes()
+            == (tmp_path / "dps_blank" / "dps.json").read_bytes())
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_text("\nx1,x2\n0.8,0.2\n")
+    out = tmp_path / "responses.csv"
+    assert cli.main(["simulate", "--simulator", "easom", str(inputs), "--out", str(out)]) == 0
+    col1 = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+    assert col1 == target_series("easom").tolist()
+
+
+def test_hm_target_length_checked_before_the_knot_scan(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("build_dps reached")
+    monkeypatch.setattr(cli, "build_dps", unreachable)
+    cfg = toy_calibrate_config(tmp_path, cutoff=2.0, target=[0.0] * 10)
+    rc = cli.main(["hm", cfg, "--out-dir", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    assert "target length 10 does not match simulator L=200" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_calibrate_run_dir(tmp_path):
@@ -154,6 +212,8 @@ def _external_spec(**overrides):
      "simulator d must be an integer"),
     ("calibrate", {"simulator": _external_spec(bounds=3), "target": [0.0] * 10},
      "simulator bounds must be 2 [low, high] pairs"),
+    ("calibrate", {"simulator": _external_spec(command=[]), "target": [0.0] * 10},
+     "simulator command must not be empty"),
 ])
 def test_mistyped_config_value_is_config_error(tmp_path, capsys, mode, overrides, message):
     cfg = toy_calibrate_config(tmp_path, **overrides)
@@ -209,6 +269,14 @@ def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys):
     rc = cli.main(["calibrate", str(path)])
     assert rc == cli.EXIT_CONFIG
     assert "config error: the config must be a JSON object" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_is_input_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff{}")
+    rc = cli.main(["calibrate", str(path)])
+    assert rc == cli.EXIT_PARSE
+    assert f"error: cannot read {path}" in capsys.readouterr().err
 
 
 def test_hm_requires_positive_cutoff(tmp_path, capsys):
@@ -280,6 +348,41 @@ def test_simulate_external_command(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 6
     assert all(line.endswith("3.5") for line in lines[1:])
+
+
+@pytest.mark.parametrize("env", ["", "from_env"])
+def test_simulate_external_exchange_dir_precedence(tmp_path, monkeypatch, env):
+    """A non-empty DYNCAL_EXCHANGE_DIR wins over --exchange-dir; an empty one is unset."""
+    log = tmp_path / "cwd.txt"
+    exe = tmp_path / "cwd_sim.py"
+    exe.write_text(f"#!{sys.executable}\n" + textwrap.dedent(f"""
+        import os
+        with open({str(log)!r}, "w") as fh:
+            fh.write(os.getcwd())
+        with open("output.csv", "w") as fh:
+            fh.write("t,value\\n1,0.0\\n2,0.0\\n")
+    """))
+    exe.chmod(exe.stat().st_mode | stat.S_IEXEC)
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_text("x1\n0.25\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setenv(cli.EXCHANGE_DIR_ENV, str(tmp_path / env) if env else "")
+    rc = cli.main(["simulate", "--command", str(exe), str(inputs), "--d", "1", "--L", "2",
+                   "--exchange-dir", str(tmp_path / "from_flag"), "--out", "resp.csv"])
+    assert rc == 0
+    assert Path(log.read_text()).parent == (tmp_path / (env or "from_flag")).resolve()
+    assert sorted(p.name for p in work.iterdir()) == ["resp.csv"]
+
+
+def test_simulate_empty_command_is_config_error(tmp_path, capsys):
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_text("x1\n0.25\n")
+    rc = cli.main(["simulate", "--command", "", str(inputs), "--d", "1", "--L", "5",
+                   "--exchange-dir", str(tmp_path / "x")])
+    assert rc == cli.EXIT_CONFIG
+    assert "simulator command must not be empty" in capsys.readouterr().err
 
 
 def test_simulate_external_protocol_error_exit(tmp_path, capsys):
