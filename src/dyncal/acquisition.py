@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 IM_SD_FLOOR = 1e-12
 
@@ -57,6 +56,8 @@ def expected_improvement(pred_mean, pred_sd, target: ContourTarget):
     out = np.zeros(mean.shape)
     active = sd > 0
     if np.any(active):
+        # imported here, so that importing dyncal loads no scipy.special
+        from scipy.special import ndtr
         m = mean[active] - target.a
         s = sd[active]
         eps = target.alpha * s

@@ -412,6 +412,13 @@ def write_csv(path, header: list, rows) -> None:
             fh.write(",".join(map(repr, row)) + "\n")
 
 
+def write_responses(path, times: list, runs: list) -> None:
+    """The responses CSV: a column t, then columns y1..yN holding the series
+    of the N runs, each a list over times. With no runs, only the header t."""
+    write_csv(path, ["t", *(f"y{i + 1}" for i in range(len(runs)))],
+              zip(times, *runs) if runs else ())
+
+
 def write_json(path, payload) -> None:
     """payload as JSON with sorted keys and indent 2, then a newline."""
     with open(path, "w") as fh:
@@ -435,10 +442,8 @@ def write_run_artifacts(run_dir, result: CalibrationResult, resolved_config: dic
               ([i, origin, *x] for i, (origin, x)
                in enumerate(zip(result.origins, X.tolist()), start=1)))
 
-    Y = result.training_responses  # stored (n, L); exported L x N
     times = simulator.spec.time_grid.tolist()
-    write_csv(run_dir / "responses.csv", ["t", *(f"y{i + 1}" for i in range(len(Y)))],
-              ([t, *y] for t, y in zip(times, Y.T.tolist())))
+    write_responses(run_dir / "responses.csv", times, result.training_responses.tolist())
 
     payload = {
         "x_opt": [float(v) for v in result.x_opt],

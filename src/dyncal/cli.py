@@ -25,7 +25,7 @@ import numpy as np
 
 from . import calibrate as cal
 from .gp import FitError
-from .metrics import evaluate_all
+from .metrics import ConstantTargetError, evaluate_all
 from .simulators import (ExternalSimulator, ProcessError, ProtocolError,
                          Simulator, SimulatorSpec, SimulatorTimeout,
                          get_simulator, target_series)
@@ -78,9 +78,10 @@ def _read_csv(path, names: list[str]) -> np.ndarray:
 def _read_series_csv(path) -> TargetSeries:
     """A t,value series; the t values are checked only, as knots are the indices 1..L."""
     data = _read_csv(path, ["t", "value"])
-    if not len(data):
-        raise InputError(f"{path}: no data rows")
-    return TargetSeries(data[:, 1])
+    try:
+        return TargetSeries(data[:, 1])
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}")
 
 
 def _load_config(path) -> dict:
@@ -215,21 +216,24 @@ def _cmd_simulate(args) -> int:
         "bounds": [[0.0, 1.0]] * args.d, "exchange_dir": args.exchange_dir})
     inputs = _read_csv(args.inputs, [f"x{k + 1}" for k in range(simulator.spec.d)])
     out_path = Path(args.out or "responses.csv")
-    if not len(inputs):
-        cal.write_csv(out_path, ["t"], [])
-        return EXIT_OK
     runs = [simulator.run(x if args.scaled else simulator.spec.scale(x)).tolist()
             for x in inputs]
-    cal.write_csv(out_path, ["t", *(f"y{i + 1}" for i in range(len(runs)))],
-                  zip(simulator.spec.time_grid.tolist(), *runs))
-    print(f"{len(runs)} runs -> {out_path}")
+    cal.write_responses(out_path, simulator.spec.time_grid.tolist(), runs)
+    if runs:
+        print(f"{len(runs)} runs -> {out_path}")
     return EXIT_OK
 
 
 def _cmd_evaluate(args) -> int:
     g_hat = _read_series_csv(args.candidate)
     g0 = _read_series_csv(args.target)
-    payload = evaluate_all(g_hat.values, g0.values)
+    if len(g_hat) != len(g0):
+        raise InputError(f"series lengths differ: {len(g_hat)} rows in {args.candidate}, "
+                         f"{len(g0)} in {args.target}")
+    try:
+        payload = evaluate_all(g_hat.values, g0.values)
+    except ConstantTargetError as exc:
+        raise InputError(f"{args.target}: {exc}")
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -35,6 +35,14 @@ one Nelder-Mead, `minimize`. It follows scipy's non-adaptive Nelder-Mead step
 for step on Python floats, so its results are bit-equal to scipy's at less
 than half the overhead per evaluation. `fit_gp` calls it through this
 module's global `minimize`, which is where a tracer counts the evaluations.
+
+The LAPACK routines `dpotrf` and `dtrtrs` come from `scipy.linalg`, which
+takes about a quarter of a second to import. A process that fits no
+surrogate (the knot scan, `evaluate`, `simulate`, a simulator wrapper)
+should not pay that, so this module binds them at the first call: until
+then its globals `dpotrf` and `dtrtrs` are stubs that import scipy's
+routines, rebind the globals to them and forward the call. From then on
+every call site reaches scipy's own routine with no extra frame.
 """
 from __future__ import annotations
 
@@ -42,11 +50,28 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .designs import random_lhd
 
 DEFAULT_P = 1.95
+
+
+def _bind_lapack():
+    """Replace the stubs below by scipy's routines of the same names."""
+    global dpotrf, dtrtrs
+    from scipy.linalg.lapack import dpotrf, dtrtrs
+
+
+def dpotrf(*args, **kwargs):
+    """scipy's LAPACK potrf, imported at the first call."""
+    _bind_lapack()
+    return dpotrf(*args, **kwargs)
+
+
+def dtrtrs(*args, **kwargs):
+    """scipy's LAPACK trtrs, imported at the first call."""
+    _bind_lapack()
+    return dtrtrs(*args, **kwargs)
 
 
 class FitError(RuntimeError):

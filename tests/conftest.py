@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import dyncal
 from dyncal.simulators import Simulator, SimulatorSpec
 
 ACCEPTANCE_LINES = []
@@ -31,3 +37,14 @@ def make_toy_simulator(L=40, d=2):
                          time_grid=np.linspace(0.0, 1.0, L),
                          native_bounds=[(0.0, 1.0)] * d)
     return Simulator(spec, func)
+
+
+def run_fresh_python(code: str) -> str:
+    """The stdout of code run by a new interpreter that imports this dyncal,
+    for checks on what a process loads from its start."""
+    package_parent = str(Path(dyncal.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=package_parent)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

@@ -1,8 +1,6 @@
 import filecmp
 import json
-import os
 import stat
-import subprocess
 import sys
 import textwrap
 from pathlib import Path
@@ -10,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import dyncal
+from conftest import run_fresh_python
 from dyncal import cli
 from dyncal.simulators import get_simulator, target_series
 from dyncal.spline_dps import TargetSeries, build_dps
@@ -416,15 +414,46 @@ def test_evaluate_missing_file(tmp_path, capsys):
     assert rc == cli.EXIT_PARSE
 
 
-def test_cli_import_leaves_out_the_slow_scipy_modules():
-    """A fresh `import dyncal.cli` loads no scipy module beyond scipy.linalg
-    and scipy.special: every CLI run and simulator wrapper pays its imports."""
-    slow = ("scipy.interpolate", "scipy.sparse", "scipy.spatial", "scipy.optimize")
-    code = ("import sys, dyncal.cli; "
-            f"print(' '.join(m for m in {slow!r} if m in sys.modules))")
-    package_parent = str(Path(dyncal.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=package_parent)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+def test_commands_without_a_fit_load_no_scipy(tmp_path):
+    """`import dyncal.cli` and the dps, evaluate and simulate commands load no
+    scipy module: scipy.linalg and scipy.special come in at the first
+    surrogate fit, so only calibrate and hm pay for them."""
+    target = write_series_csv(tmp_path / "target.csv", target_series("easom"))
+    candidate = write_series_csv(tmp_path / "candidate.csv", target_series("easom") + 0.1)
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_text("x1,x2\n0.8,0.2\n")
+    runs = [
+        ["dps", target, "--k-max", "3", "--out-dir", str(tmp_path / "dps")],
+        ["evaluate", candidate, target, "--out", str(tmp_path / "metrics.json")],
+        ["simulate", "--simulator", "easom", str(inputs),
+         "--out", str(tmp_path / "responses.csv")],
+    ]
+    code = textwrap.dedent(f"""
+        import contextlib, io, sys, dyncal.cli
+        def scipy_modules():
+            return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        loaded = [scipy_modules()]
+        for argv in {runs!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert dyncal.cli.main(argv) == 0, argv
+            loaded.append(scipy_modules())
+        print(loaded)
+    """)
+    assert run_fresh_python(code).strip() == repr([[]] * 4)
+
+
+@pytest.mark.parametrize("cmd,files,message", [
+    ("evaluate", [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0, 2.0, 3.0, 4.0, 5.0]],
+     "series lengths differ: 6 rows in"),
+    ("evaluate", [[1.0, 2.0, 3.0, 4.0, 5.0], [2.0] * 5], "b.csv: target series is constant"),
+    ("evaluate", [[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]],
+     "a.csv: target series needs at least 5 points"),
+    ("dps", [[1.0, 2.0, 3.0, 4.0]], "a.csv: target series needs at least 5 points"),
+    ("dps", [[]], "a.csv: target series needs at least 5 points"),
+], ids=["evaluate-lengths", "evaluate-constant", "evaluate-short", "dps-short", "dps-empty"])
+def test_unusable_series_file_is_input_error(tmp_path, capsys, cmd, files, message):
+    paths = [write_series_csv(tmp_path / f"{name}.csv", values)
+             for name, values in zip("ab", files)]
+    rc = cli.main([cmd, *paths])
+    assert rc == cli.EXIT_PARSE
+    assert message in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
+from conftest import run_fresh_python
 from dyncal.designs import random_lhd
 from dyncal.gp import (DEFAULT_P, CorrelationSpec, FitConfig, FitError, MeanBank,
                        build_gp_model, fit_gp, minimize, predict_batch, _corr, _factor,
@@ -560,3 +562,23 @@ def test_nelder_mead_bit_equal_to_scipy(d, seed, zero_mask, objective, polish, m
     assert got.nfev == want.nfev
     assert np.array_equal(got.x, want.x)
     assert got.fun == want.fun
+
+
+def test_first_fit_binds_scipy_routines():
+    """Importing dyncal loads no scipy. The first fit binds scipy's own LAPACK
+    routines to dyncal.gp, so later likelihood evaluations call them with no
+    wrapper in between, and the first EI sweep loads scipy.special."""
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from dyncal import acquisition, gp
+        assert not any(m.split(".")[0] == "scipy" for m in sys.modules)
+        X = np.random.default_rng(0).uniform(size=(8, 2))
+        gp.fit_gp(X, np.sin(3.0 * X[:, 0]) + X[:, 1])
+        assert "scipy.special" not in sys.modules
+        acquisition.expected_improvement([0.1, 0.4], [0.2, 0.3], acquisition.ContourTarget(0.0))
+        import scipy.linalg.lapack
+        print(gp.dpotrf is scipy.linalg.lapack.dpotrf, gp.dtrtrs is scipy.linalg.lapack.dtrtrs,
+              "scipy.special" in sys.modules)
+    """)
+    assert run_fresh_python(code).split() == ["True", "True", "True"]
