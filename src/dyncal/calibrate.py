@@ -29,7 +29,7 @@ from .designs import maximin_lhd, maxpro_lhd, random_lhd
 from .gp import GpModel, MeanBank, fit_gp, minimize, predict_batch
 from .metrics import evaluate_all
 from .simulators import Simulator
-from .spline_dps import DpsResult, TargetSeries, build_dps
+from .spline_dps import K_MAX_DEFAULT, DpsResult, TargetSeries, build_dps
 
 DUPLICATE_TOL = 1e-10
 
@@ -59,7 +59,7 @@ class MsceConfig:
     n0: int
     N: int
     seed: int = 0
-    k_max: int = 10
+    k_max: int = K_MAX_DEFAULT
     alpha: float = 0.67
     epsilon: float = 1e-5
     M: int = 5000
@@ -125,6 +125,21 @@ def _is_duplicate(x: np.ndarray, X: np.ndarray) -> bool:
     return bool(np.min(np.linalg.norm(X - x, axis=1)) < DUPLICATE_TOL)
 
 
+def _best_candidate(ei: np.ndarray, cands: np.ndarray, X: np.ndarray) -> int:
+    """Index of the candidate with the largest EI that duplicates no row of X,
+    the first one among ties: the first non-duplicate of
+    np.argsort(-ei, kind="stable"). Only when the argmax is a duplicate (or
+    NaN, which argsort puts last) does it sort. RuntimeError if every
+    candidate is a duplicate."""
+    pick = int(np.argmax(ei))
+    if not np.isnan(ei[pick]) and not _is_duplicate(cands[pick], X):
+        return pick
+    for idx in np.argsort(-ei, kind="stable"):
+        if not _is_duplicate(cands[idx], X):
+            return int(idx)
+    raise RuntimeError("all candidates duplicate existing training points")
+
+
 def solve_scalar_contour(simulator: Simulator, t_star: int, a: float,
                          X: np.ndarray, Y: np.ndarray, budget_j: int,
                          config: MsceConfig, problem_index: int = 1,
@@ -145,10 +160,7 @@ def solve_scalar_contour(simulator: Simulator, t_star: int, a: float,
         means, s2 = predict_batch(model, cands)
         sds = np.sqrt(s2)
         ei = expected_improvement(means, sds, target)
-        pick = next((int(idx) for idx in np.argsort(-ei, kind="stable")
-                     if not _is_duplicate(cands[idx], X)), None)
-        if pick is None:
-            raise RuntimeError("all candidates duplicate existing training points")
+        pick = _best_candidate(ei, cands, X)
         x_new = cands[pick]
         y_new = simulator.run(x_new)
         X = np.vstack([X, x_new])
@@ -363,10 +375,8 @@ def hm_run(simulator: Simulator, target, dps: DpsResult, n0: int, cutoff: float,
         models = [fit_gp(X, Y[:, t - 1]) for t in indices]
         rng = np.random.default_rng([config.seed, 3, stage])
         test = random_lhd(config.M, spec.d, rng)
-        preds = [predict_batch(m, test) for m in models]
-        means = np.stack([p[0] for p in preds])
-        sds = np.sqrt(np.stack([p[1] for p in preds]))
-        im = implausibility_max(means, sds, targets)
+        means, s2 = MeanBank(models).predict(test)
+        im = implausibility_max(means, np.sqrt(s2), targets)
 
         order = np.argsort(im, kind="stable")
         added = 0

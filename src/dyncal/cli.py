@@ -29,7 +29,7 @@ from .metrics import ConstantTargetError, evaluate_all
 from .simulators import (ExternalSimulator, ProcessError, ProtocolError,
                          Simulator, SimulatorSpec, SimulatorTimeout,
                          get_simulator, target_series)
-from .spline_dps import TargetSeries, build_dps
+from .spline_dps import K_MAX_DEFAULT, K_MAX_LEAST, TargetSeries, build_dps
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -161,7 +161,12 @@ def _msce_config(cfg: dict) -> cal.MsceConfig:
 
 def _cmd_dps(args) -> int:
     series = _read_series_csv(args.target)
-    result = build_dps(series, k_max=args.k_max)
+    least = K_MAX_LEAST + 5  # k_max may not exceed the series length less 5
+    if len(series) < least:
+        raise InputError(f"{args.target}: dps needs a series of at least {least} rows, "
+                         f"got {len(series)}")
+    k_max = min(K_MAX_DEFAULT, len(series) - 5) if args.k_max is None else args.k_max
+    result = build_dps(series, k_max=k_max)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cal.write_json(out / "dps.json", result.to_dict())
@@ -248,7 +253,9 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dps", help="build a discretization point set")
     sp.add_argument("target", help="target series CSV (t,value)")
-    sp.add_argument("--k-max", type=int, default=10)
+    sp.add_argument("--k-max", type=int, default=None,
+                    help=f"greedy knot search depth (default {K_MAX_DEFAULT}, "
+                         "or the series length less 5 if that is smaller)")
     sp.add_argument("--out-dir", default="dps_out")
     sp.set_defaults(func=_cmd_dps)
 

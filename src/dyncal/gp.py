@@ -20,15 +20,28 @@ the concentrated likelihood (Roustant, Ginsbourger & Deville 2012) needs only
 
 and the prediction weights are alpha = L^-T w, one more triangular solve.
 A fit allocates one `_Workspace` and every likelihood evaluation reuses it:
-R is refilled in place in Fortran order, 1 + nugget goes into a view of its
-diagonal, potrf factors it in place, and the right-hand side [y, 1] is
-written once.
+R is refilled in place in Fortran order through a flat view made once, 1 +
+nugget goes into a view of its diagonal, potrf factors it in place, and the
+right-hand side [y, 1] is written once, so an evaluation reshapes nothing.
 
 The kernel is written once: `_powered` gives |a_k - b_k|^p for every pair of
-rows, and `_corr` turns those into correlations for one theta. Fitting,
-model assembly, `predict_batch` and `MeanBank` all go through this pair, and
-the BLUP mean y_mean + y_scale (mu_std + r' alpha) is written once, in `_mean`,
-which also holds the only branch for a constant (degenerate) response.
+rows, and `_corr` turns those, flattened to one pair per row, into
+correlations for one theta. Fitting, model assembly, `predict_batch` and
+`MeanBank` all go through this pair, and the BLUP mean
+y_mean + y_scale (mu_std + r' alpha) is written once, in `_mean`, which also
+holds the only branch for a constant (degenerate) response.
+
+Prediction sweeps (5000 candidates per sequential step) are written to
+allocate little. `_powered` fills one output array a coordinate at a time
+and takes the absolute value and the power in place; the kriging variance
+(`_variance`) copies r into a Fortran-order buffer that trtrs solves in
+place and squares it there. Models that share their training inputs, as the
+k per-index models of a history-matching stage do, share one set of powered
+distances (`MeanBank.predict`), and `predict_batch` is that sweep with one
+model. The query batch is deliberately not split into chunks, though that
+would bound the memory: the r' alpha product rounds differently with the
+number of rows, so chunked means differ in their last bits, and the
+answers of a calibration can move on such differences.
 
 The multistart search of `fit_gp` and the polish of solution extraction use
 one Nelder-Mead, `minimize`. It follows scipy's non-adaptive Nelder-Mead step
@@ -98,23 +111,35 @@ class CorrelationSpec:
 
 
 def _powered(A: np.ndarray, B: np.ndarray, p: float) -> np.ndarray:
-    """|a_k - b_k|^p for every row a of A and b of B, shape (n_A, n_B, d)."""
-    return np.abs(A[:, None, :] - B[None, :, :]) ** p
+    """|a_k - b_k|^p for every row a of A and b of B, shape (n_A, n_B, d).
 
-
-def _corr(powered: np.ndarray, theta: np.ndarray,
-          out: np.ndarray | None = None) -> np.ndarray:
-    """Power-exponential correlations from the powered distances, shape (n_A, n_B).
-
-    Written into out (contiguous, shape (n_A, n_B)) when it is given. The sign
-    goes into theta: negation is exact and rounding is symmetric in sign, so
-    powered @ -theta is bit-equal to -(powered @ theta).
+    Bit-equal to np.abs(A[:, None, :] - B[None, :, :]) ** p, in one array:
+    the differences go in one coordinate at a time, so numpy's inner loop
+    runs over the n_B rows of B rather than over the d coordinates, and the
+    absolute value and the power are taken in place (`**=` keeps `**`'s
+    special cases, such as squaring for p = 2).
     """
-    n_a, n_b, d = powered.shape
-    flat = np.matmul(powered.reshape(-1, d), -theta,
-                     out=None if out is None else out.reshape(-1))
-    np.exp(flat, out=flat)
-    return flat.reshape(n_a, n_b)
+    out = np.empty((A.shape[0], B.shape[0], A.shape[1]))
+    for k in range(A.shape[1]):
+        np.subtract(A[:, k, None], B[None, :, k], out=out[:, :, k])
+    np.abs(out, out=out)
+    out **= p
+    return out
+
+
+def _corr(flat: np.ndarray, theta: np.ndarray,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """Power-exponential correlations from powered distances given as rows.
+
+    flat holds one pair's powered distances per row, shape (N, d), as
+    `_powered(A, B, p).reshape(-1, d)` gives them; the result has shape (N,)
+    and is written into out when it is given. The sign goes into theta:
+    negation is exact and rounding is symmetric in sign, so flat @ -theta is
+    bit-equal to -(flat @ theta).
+    """
+    out = np.matmul(flat, -theta, out=out)
+    np.exp(out, out=out)
+    return out
 
 
 @dataclass
@@ -159,20 +184,27 @@ class GpModel:
 
 
 class _Workspace:
-    """Buffers for the likelihood evaluations of one fit, allocated once.
+    """Buffers and views for the likelihood evaluations of one fit, made once,
+    so that an evaluation allocates nothing of size n^2 and reshapes nothing.
 
-    powered: the powered distances of the training inputs, shape (n, n, d).
+    n: the number of training points.
+    powered: the powered distances of the training inputs, given as an
+        (n, n, d) array and kept as its flat (n^2, d) view.
     R: the n x n correlation matrix in Fortran order, refilled for every theta
         and overwritten by its Cholesky factor (potrf needs no copy of it).
+    R_flat: R as a flat array, row-major over R's transpose; R is symmetric,
+        so `_corr` fills it as it fills any correlation matrix.
     diagonal: a writable strided view of R's diagonal, where 1 + nugget goes.
     rhs: the right-hand side [y, 1] of the triangular solve, Fortran order.
     """
 
     def __init__(self, powered: np.ndarray, y_std: np.ndarray):
         n = len(y_std)
-        self.powered = powered
+        self.n = n
+        self.powered = powered.reshape(n * n, powered.shape[2])
         self.R = np.empty((n, n), order="F")
-        self.diagonal = self.R.T.reshape(-1)[::n + 1]
+        self.R_flat = self.R.T.reshape(-1)
+        self.diagonal = self.R_flat[::n + 1]
         self.rhs = np.empty((n, 2), order="F")
         self.rhs[:, 0] = y_std
         self.rhs[:, 1] = 1.0
@@ -193,8 +225,8 @@ def _factor(ws: _Workspace, theta: np.ndarray, start: float, cap: float,
     """
     nugget = start
     while True:
-        _corr(ws.powered, theta, out=ws.R.T)
-        ws.diagonal[:] = 1.0 + nugget
+        _corr(ws.powered, theta, out=ws.R_flat)
+        ws.diagonal.fill(1.0 + nugget)
         # lower, clean, overwrite_a, given positionally: f2py parses keywords slowly
         L, info = dpotrf(ws.R, 1, clean, 1)
         if info == 0:
@@ -231,7 +263,7 @@ def _profile_nll(theta, ws: _Workspace, cfg: FitConfig):
     _, sigma2, logdet, _ = _profile(L, ws.rhs)
     if not sigma2 > 0:  # also rejects NaN
         return _NLL_BAD
-    return len(ws.rhs) * np.log(sigma2) + logdet
+    return ws.n * np.log(sigma2) + logdet
 
 
 def _nll_log10(log_theta, ws: _Workspace, lo: float, hi: float, cfg: FitConfig):
@@ -452,10 +484,31 @@ def _mean(model: GpModel, powered: np.ndarray):
     Returns (means, r) with r the (n, m) cross-correlations, or None for a
     degenerate model, whose mean is its constant.
     """
+    n, m, d = powered.shape
     if model.degenerate:
-        return np.full(powered.shape[1], model.mu_hat), None
-    r = _corr(powered, model.spec.theta)
+        return np.full(m, model.mu_hat), None
+    r = _corr(powered.reshape(n * m, d), model.spec.theta).reshape(n, m)
     return model.y_mean + model.y_scale * (model.mu_std + r.T @ model.alpha), r
+
+
+def _variance(model: GpModel, r: np.ndarray | None):
+    """Kriging variance at the query points whose cross-correlations r `_mean`
+    gave, clamped at zero against floating-point undershoot; 0 for a
+    degenerate model (r None).
+
+    r' R~^-1 r is the squared norm of each column of v = L^-1 r. r is copied
+    into a Fortran-order buffer that trtrs solves in place (f2py would make
+    its own copy of a C-order r), which is then squared in place; the column
+    sums run over the same Fortran layout as a copying solve would return.
+    """
+    if r is None:
+        return 0.0
+    v = np.empty(r.shape, order="F")
+    v[...] = r
+    v, _ = dtrtrs(model.chol, v, lower=1, overwrite_b=1)
+    np.multiply(v, v, out=v)
+    quad = np.sum(v, axis=0)
+    return model.y_scale ** 2 * (model.sigma2_std * np.maximum(1.0 - quad, 0.0))
 
 
 def predict_batch(model: GpModel, X_star: np.ndarray):
@@ -464,23 +517,18 @@ def predict_batch(model: GpModel, X_star: np.ndarray):
     Returns (means, s2) arrays of length m; s2 is clamped at zero against
     floating-point undershoot.
     """
-    X_star = np.atleast_2d(np.asarray(X_star, dtype=float))
-    means, r = _mean(model, _powered(model.X, X_star, model.spec.p))
-    if r is None:
-        return means, np.zeros(len(means))
-    # r' R~^-1 r via the triangular factor
-    v, _ = dtrtrs(model.chol, r, lower=1)
-    quad = np.sum(v * v, axis=0)
-    s2 = model.y_scale ** 2 * (model.sigma2_std * np.maximum(1.0 - quad, 0.0))
-    return means, s2
+    means, s2 = MeanBank([model]).predict(X_star)
+    return means[0], s2[0]
 
 
 class MeanBank:
-    """Mean-only prediction across models sharing one training design.
+    """Prediction across models sharing one training design.
 
     The powered distances from the shared inputs to a query batch are
-    computed once per batch and reused by every model. Used by the inner
-    loops of solution extraction, where only posterior means are needed.
+    computed once per batch and reused by every model. `means` serves the
+    inner loops of solution extraction, where only posterior means are
+    needed; `predict` adds the variances, for the history-matching sweep and,
+    with a single model, for `predict_batch`.
     """
 
     def __init__(self, models: list[GpModel]):
@@ -502,3 +550,22 @@ class MeanBank:
         for k, model in enumerate(self.models):
             out[:, k] = _mean(model, powered)[0]
         return out
+
+    def predict(self, x_batch: np.ndarray):
+        """Posterior means and variances, each of shape (n_models, batch).
+
+        Row k is bit-equal to model k's own `predict_batch`. At most one set
+        of cross-correlations is alive at a time, and the powered distances
+        are dropped before the last model's variance, so with one model the
+        sweep never holds the distances and the solve's buffer at once.
+        """
+        powered = _powered(self.X, np.atleast_2d(np.asarray(x_batch, dtype=float)), self.p)
+        shape = (len(self.models), powered.shape[1])
+        means, s2 = np.empty(shape), np.empty(shape)
+        for k, model in enumerate(self.models):
+            means[k], r = _mean(model, powered)
+            if k == len(self.models) - 1:
+                del powered
+            s2[k] = _variance(model, r)
+            del r
+        return means, s2

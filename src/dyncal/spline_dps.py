@@ -205,7 +205,7 @@ def greedy_knot_search(series: TargetSeries, k_max: int):
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     if k_max > L - 5:
-        raise ValueError(f"k_max={k_max} exceeds the fit limit for length {L}")
+        raise ValueError(f"k_max={k_max} exceeds {L - 5}, the fit limit for length {L}")
 
     y = series.values
     floor = _SHORTLIST_FLOOR * float(np.mean(y * y))
@@ -247,8 +247,17 @@ def select_k_elbow(mse_path) -> tuple[int, bool]:
     return k_max, True
 
 
-def build_dps(series: TargetSeries, k_max: int = 10) -> DpsResult:
-    """Full pipeline: greedy knot sequence, MSE path, elbow cut."""
+K_MAX_DEFAULT = 10
+K_MAX_LEAST = 2  # the elbow cut compares the MSE after at least two knot counts
+
+
+def build_dps(series: TargetSeries, k_max: int = K_MAX_DEFAULT) -> DpsResult:
+    """Full pipeline: greedy knot sequence, MSE path, elbow cut.
+
+    ValueError unless K_MAX_LEAST <= k_max <= len(series) - 5.
+    """
+    if k_max < K_MAX_LEAST:
+        raise ValueError(f"k_max must be at least {K_MAX_LEAST}, got {k_max}")
     ordered, path = greedy_knot_search(series, k_max)
     k, warned = select_k_elbow(path)
     return DpsResult(ordered_knots=ordered, mse_path=path, k_selected=k,

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_toy_simulator
-from dyncal.calibrate import (BudgetError, MsceConfig, extract_solution,
-                              hm_run, msce_run, resolved_config_dict,
+from dyncal.calibrate import (BudgetError, MsceConfig, _best_candidate, _is_duplicate,
+                              extract_solution, hm_run, msce_run, resolved_config_dict,
                               solve_scalar_contour, write_run_artifacts)
 from dyncal.designs import maximin_lhd, random_lhd
 from dyncal.gp import fit_gp, predict_batch
@@ -36,6 +36,59 @@ def test_config_validation():
         MsceConfig(n0=5, N=10, M=50)
     with pytest.raises(ValueError):
         MsceConfig(n0=5, N=10, initial_design="sobol")
+
+
+def sorted_pick(ei, cands, X):
+    """The first candidate of the stable descending EI order that duplicates no row of X."""
+    return next((int(i) for i in np.argsort(-ei, kind="stable")
+                 if not _is_duplicate(cands[i], X)), None)
+
+
+def test_best_candidate_is_first_non_duplicate_of_stable_order():
+    rng = np.random.default_rng(0)
+    cands = rng.uniform(size=(8, 2))
+    X = rng.uniform(size=(5, 2))
+    X_dup = np.vstack([X, cands[[2, 5]]])  # candidates 2 and 5 are training points
+    cases = [
+        np.array([0.1, 0.4, 0.9, 0.2, 0.9, 0.9, 0.0, 0.3]),  # tied maxima
+        np.array([0.1, 0.4, 0.9, 0.2, 0.5, 0.6, 0.0, 0.3]),  # unique maximum
+        np.zeros(8),  # all zero
+        -np.zeros(8),  # all negative zero
+        np.array([0.0, -0.0, 0.0, 0.5, 0.5, 0.1, 0.0, 0.5]),
+        np.array([0.1, np.nan, 0.9, 0.2, np.nan, 0.9, 0.0, 0.3]),  # NaN sorts last
+        np.full(8, np.nan),
+        np.array([0.1, 0.4, 0.9, 0.2, 0.5, 0.9, 0.0, 0.5]),  # both maxima duplicated in X_dup
+    ]
+    for ei in cases:
+        for train in (X, X_dup):
+            want = sorted_pick(ei, cands, train)
+            assert _best_candidate(ei, cands, train) == want
+    # duplicates at the maximum: the unique one, one of three tied, both of two tied
+    assert _best_candidate(cases[1], cands, X_dup) == 4
+    assert _best_candidate(cases[0], cands, X_dup) == 4
+    assert _best_candidate(cases[-1], cands, X_dup) == 4
+    assert _best_candidate(cases[2], cands, X_dup) == 0
+
+
+def test_best_candidate_all_duplicates_is_runtime_error():
+    cands = np.random.default_rng(1).uniform(size=(4, 2))
+    with pytest.raises(RuntimeError, match="all candidates duplicate"):
+        _best_candidate(np.array([0.3, 0.1, 0.3, 0.0]), cands, cands[::-1].copy())
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**31), n_levels=st.integers(1, 4), n_dup=st.integers(0, 12))
+def test_best_candidate_matches_stable_order_on_random_ties(seed, n_levels, n_dup):
+    rng = np.random.default_rng(seed)
+    cands = rng.uniform(size=(12, 3))
+    ei = rng.integers(0, n_levels, size=12) / 4.0  # few distinct values, many ties
+    X = np.vstack([rng.uniform(size=(3, 3)), cands[rng.permutation(12)[:n_dup]]])
+    want = sorted_pick(ei, cands, X)
+    if want is None:
+        with pytest.raises(RuntimeError):
+            _best_candidate(ei, cands, X)
+    else:
+        assert _best_candidate(ei, cands, X) == want
 
 
 def test_solve_scalar_contour_zero_budget():

@@ -58,6 +58,40 @@ def test_dps_subcommand(tmp_path, easom_target_csv):
         assert lines[i + 1] == f"{i},{mse!r}"
 
 
+@pytest.mark.parametrize("length", [8, 10, 14])
+def test_dps_default_k_max_fits_short_series(tmp_path, length):
+    values = np.sin(np.linspace(0.0, 5.0, length))
+    out = tmp_path / "dps_out"
+    rc = cli.main(["dps", write_series_csv(tmp_path / "s.csv", values),
+                   "--out-dir", str(out)])
+    assert rc == 0
+    payload = json.loads((out / "dps.json").read_text())
+    assert len(payload["ordered_knots"]) == length - 5
+    assert payload == build_dps(TargetSeries(values), k_max=length - 5).to_dict()
+
+
+def test_dps_default_k_max_is_ten_on_long_series(tmp_path, easom_target_csv):
+    out = tmp_path / "dps_out"
+    assert cli.main(["dps", easom_target_csv, "--out-dir", str(out)]) == 0
+    payload = json.loads((out / "dps.json").read_text())
+    assert payload == build_dps(TargetSeries(target_series("easom")), k_max=10).to_dict()
+
+
+@pytest.mark.parametrize("length,flags,code,message", [
+    (10, ["--k-max", "10"], cli.EXIT_CONFIG, "k_max=10 exceeds 5, the fit limit for length 10"),
+    (10, ["--k-max", "1"], cli.EXIT_CONFIG, "k_max must be at least 2, got 1"),
+    (10, ["--k-max", "0"], cli.EXIT_CONFIG, "k_max must be at least 2, got 0"),
+    (6, [], cli.EXIT_PARSE, "s.csv: dps needs a series of at least 7 rows, got 6"),
+    (5, ["--k-max", "2"], cli.EXIT_PARSE, "s.csv: dps needs a series of at least 7 rows, got 5"),
+], ids=["above-limit", "one", "zero", "six-rows", "five-rows"])
+def test_dps_unusable_k_max_or_length(tmp_path, capsys, length, flags, code, message):
+    path = write_series_csv(tmp_path / "s.csv", np.sin(np.linspace(0.0, 5.0, length)))
+    rc = cli.main(["dps", path, *flags, "--out-dir", str(tmp_path / "out")])
+    assert rc == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_dps_malformed_csv_names_row(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,value\n1,1.0\n2,huh\n3,2.0\n4,2.0\n5,2.0\n")

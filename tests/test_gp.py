@@ -44,14 +44,20 @@ def fixed_theta_model(X, y, theta, p=1.95, nugget=0.0):
     return build_gp_model(X, y, CorrelationSpec(theta, p), nugget)
 
 
+def cross_correlations(spec, A, B):
+    """Correlations between every row of A and of B, through the kernel helpers."""
+    powered = _powered(A, B, spec.p)
+    n_a, n_b, d = powered.shape
+    return _corr(powered.reshape(n_a * n_b, d), spec.theta).reshape(n_a, n_b)
+
+
 def correlation(spec, x_i, x_j):
     """Correlation between the process at two points, through the kernel helpers."""
-    return float(_corr(_powered(np.atleast_2d(x_i), np.atleast_2d(x_j), spec.p),
-                       spec.theta)[0, 0])
+    return float(cross_correlations(spec, np.atleast_2d(x_i), np.atleast_2d(x_j))[0, 0])
 
 
 def correlation_matrix(spec, X):
-    return _corr(_powered(X, X, spec.p), spec.theta)
+    return cross_correlations(spec, X, X)
 
 
 def test_correlation_zero_distance_is_one():
@@ -81,7 +87,7 @@ def test_corr_matches_pairwise_loop():
     rng = np.random.default_rng(3)
     A, B = rng.uniform(size=(7, 3)), rng.uniform(size=(11, 3))
     theta = np.array([0.5, 4.0, 20.0])
-    got = _corr(_powered(A, B, 1.7), theta)
+    got = cross_correlations(CorrelationSpec(theta, 1.7), A, B)
     assert got.shape == (7, 11)
     for i in range(7):
         for j in range(11):
@@ -254,7 +260,84 @@ def test_mean_bank_extraction_grid_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 150e6
+    assert peak <= 75e6
+
+
+def test_predict_batch_peak_memory():
+    # a late easom-hm stage: 215 training points, the 5000-point sweep
+    X = random_lhd(215, 2, seed=0)
+    model = fixed_theta_model(X, np.sin(5 * X[:, 0]) + X[:, 1] ** 2, np.array([3.0, 8.0]),
+                              nugget=1e-6)
+    cands = random_lhd(5000, 2, seed=1)
+    predict_batch(model, cands[:3])  # binds the LAPACK routines outside the trace
+    tracemalloc.start()
+    try:
+        predict_batch(model, cands)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30e6
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_a=st.integers(1, 12), n_b=st.integers(1, 12), d=st.integers(1, 5),
+       p=st.sampled_from([0.5, 1, 1.0, 1.95, 2, 2.0]), seed=st.integers(0, 2**31))
+@example(n_a=1, n_b=1, d=1, p=2.0, seed=0)
+@example(n_a=1, n_b=7, d=5, p=0.5, seed=1)
+@example(n_a=7, n_b=1, d=3, p=1, seed=2)
+def test_powered_bit_equal_to_broadcast_reference(n_a, n_b, d, p, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(size=(n_a, d))
+    B = rng.uniform(-0.5, 1.5, size=(n_b, d))
+    B[0, :] = A[-1, :]  # a zero distance in every coordinate
+    got = _powered(A, B, p)
+    assert got.shape == (n_a, n_b, d)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, np.abs(A[:, None, :] - B[None, :, :]) ** p)
+
+
+def broadcast_predict(model, X_star):
+    """BLUP mean and variance written with fresh arrays: broadcast powered
+    distances, one flat matrix-vector product, and a triangular solve that
+    copies r, squared into a new array."""
+    powered = np.abs(model.X[:, None, :] - X_star[None, :, :]) ** model.spec.p
+    n, m, d = powered.shape
+    if model.degenerate:
+        return np.full(m, model.mu_hat), np.zeros(m)
+    r = np.exp(powered.reshape(-1, d) @ -model.spec.theta).reshape(n, m)
+    means = model.y_mean + model.y_scale * (model.mu_std + r.T @ model.alpha)
+    v, _ = dtrtrs(model.chol, r, lower=1)
+    quad = np.sum(v * v, axis=0)
+    s2 = model.y_scale ** 2 * (model.sigma2_std * np.maximum(1.0 - quad, 0.0))
+    return means, s2
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("m", [1, 2, 7, 5000])
+def test_predict_batch_bit_equal_to_broadcast_formulas(m, d):
+    X = random_lhd(9 * d, d, seed=m)
+    model = fit_gp(X, np.sin(5 * X[:, 0]) + X[:, -1] ** 2)
+    X_star = random_lhd(m, d, seed=m + 1)
+    X_star[0] = X[3]  # a training point, where the variance clamps at zero
+    got, want = predict_batch(model, X_star), broadcast_predict(model, X_star)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+def test_shared_sweep_bit_equal_to_per_model_predictions():
+    X = random_lhd(60, 2, seed=4)
+    models = [fit_gp(X, np.sin((k + 3) * X[:, 0]) + k * X[:, 1]) for k in range(3)]
+    models.insert(1, fit_gp(X, np.full(60, -1.5)))  # degenerate member
+    assert models[1].degenerate
+    test = random_lhd(5000, 2, seed=5)
+    means, s2 = MeanBank(models).predict(test)
+    assert means.shape == s2.shape == (4, 5000)
+    for k, model in enumerate(models):
+        alone = predict_batch(model, test)
+        assert np.array_equal(means[k], alone[0])
+        assert np.array_equal(s2[k], alone[1])
+        assert np.array_equal(s2[k], broadcast_predict(model, test)[1])
+    assert not s2[1].any()
 
 
 def test_mean_bank_rejects_mismatched_models():

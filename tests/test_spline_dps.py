@@ -212,6 +212,14 @@ def test_greedy_rejects_bad_kmax():
         greedy_knot_search(series, 16)
 
 
+def test_build_dps_rejects_k_max_below_two():
+    series = TargetSeries(np.sin(np.linspace(0, 5, 20)))
+    for k_max in (1, 0, -3):
+        with pytest.raises(ValueError, match=f"k_max must be at least 2, got {k_max}"):
+            build_dps(series, k_max)
+    assert len(build_dps(series, 2).mse_path) == 3
+
+
 def test_elbow_on_paper_style_path():
     # level drop pattern with positive curvature first appearing at the third count
     path = [2.194e-2, 2.760e-4, 1.717e-4, 3.044e-5, 6.254e-6, 1.651e-6, 4.950e-7]
