@@ -27,7 +27,7 @@ import numpy as np
 from .acquisition import ContourTarget, expected_improvement, implausibility_max
 from .designs import maximin_lhd, maxpro_lhd, random_lhd
 from .gp import GpModel, MeanBank, fit_gp, minimize, predict_batch
-from .metrics import evaluate_all
+from .metrics import ConstantTargetError, evaluate_all
 from .simulators import Simulator
 from .spline_dps import K_MAX_DEFAULT, DpsResult, TargetSeries, build_dps
 
@@ -283,11 +283,14 @@ def extract_solution(models: list[GpModel], targets: list[float],
 
 
 def checked_target(target, simulator: Simulator) -> TargetSeries:
-    """target as a TargetSeries; ValueError unless its length is the simulator's L."""
+    """target as a TargetSeries; ValueError unless its length is the simulator's L
+    and it is not constant, for a constant target leaves the fit metrics undefined."""
     series = target if isinstance(target, TargetSeries) else TargetSeries(target)
     if len(series) != simulator.spec.L:
         raise ValueError(
             f"target length {len(series)} does not match simulator L={simulator.spec.L}")
+    if series.values.max() == series.values.min():
+        raise ConstantTargetError("target series is constant")
     return series
 
 

@@ -29,7 +29,8 @@ from .metrics import ConstantTargetError, evaluate_all
 from .simulators import (ExternalSimulator, ProcessError, ProtocolError,
                          Simulator, SimulatorSpec, SimulatorTimeout,
                          get_simulator, target_series)
-from .spline_dps import K_MAX_DEFAULT, K_MAX_LEAST, TargetSeries, build_dps
+from .spline_dps import (K_MAX_DEFAULT, K_MAX_LEAST, CubicTargetError, TargetSeries,
+                         build_dps)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -166,7 +167,10 @@ def _cmd_dps(args) -> int:
         raise InputError(f"{args.target}: dps needs a series of at least {least} rows, "
                          f"got {len(series)}")
     k_max = min(K_MAX_DEFAULT, len(series) - 5) if args.k_max is None else args.k_max
-    result = build_dps(series, k_max=k_max)
+    try:
+        result = build_dps(series, k_max=k_max)
+    except CubicTargetError as exc:
+        raise InputError(f"{args.target}: {exc}")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cal.write_json(out / "dps.json", result.to_dict())

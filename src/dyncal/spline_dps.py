@@ -13,11 +13,18 @@ scipy's `BSpline.design_matrix`, which dyncal does not import because
 `scipy.interpolate` alone would take about a third of the process start-up.
 
 A stage does not refit the spline once per admissible index. Adding knot c
-adds the one direction (t - c)_+^3 to the spline space, so every index is
-scored at once from an orthonormal basis of the current space, in column
-blocks of fixed width. Only the indices whose score is within a small
-tolerance of the best are refit exactly with `fit_cubic_spline`, and the
-exact fits decide: the knots and MSE path are those of refitting every index.
+adds the one direction p = (t - c)_+^3 to the spline space, so with Q an
+orthonormal basis of the current space and r the residual, an index's score
+needs only r'p, Q'p and p'p. The first two are cubic moments of the columns
+of [r, Q] about c. Each is split at the end of a block of rows into a small
+in-block kernel product and four tail moments, carried from block to block
+by the binomial shift, so a stage costs O(L (k + 5)) where projecting every
+direction would cost O(L^2 (k + 4)). Next to a chosen knot p nearly lies in
+the current space and its projected norm cancels; those few indices are
+projected explicitly instead. The scores are still rounded, so the indices
+whose score is within a small tolerance of the best are refit exactly with
+`fit_cubic_spline`, and the exact fits decide: the knots and MSE path are
+those of refitting every index.
 """
 from __future__ import annotations
 
@@ -142,48 +149,146 @@ def fit_cubic_spline(series: TargetSeries, interior_knots) -> SplineFit:
     return SplineFit(fitted=fitted, mse=mse)
 
 
-_SCAN_BLOCK = 32  # candidate columns scored per block: the buffers stay at 2 x L x 32 floats
+_SCAN_BLOCK = 32  # grid rows per moment block, and candidate columns per guard block
+_GUARD_RTOL = 1e-8  # q'q below this share of p'p is recomputed by explicit projection
 _SHORTLIST_RTOL = 1e-6  # relative slack of a score over the best exact MSE
 _SHORTLIST_FLOOR = 1e-14  # absolute slack, in units of mean(y^2)
 
 
+def _moment_operators(B: int):
+    """The fixed matrices of the blocked moment recursion for blocks of B rows.
+
+    Within a block, row i lies B - i rows before the block's end a. K[i, u] =
+    (u - i)_+^3 weights the block's own rows, W[i, j] = C(3, j) (B - i)^(3-j)
+    turns the tail moments at a into the cubic moment at row i, V[j, u] = u^j
+    takes a block's own moments about its first row, and SHIFT[j, l] =
+    C(j, l) B^(j-l) moves moments B rows to the left. All entries are >= 0.
+    """
+    u = np.arange(B, dtype=float)
+    K = np.maximum(u[None, :] - u[:, None], 0.0) ** 3
+    j = np.arange(4)
+    binom = np.array([[1, 0, 0, 0], [1, 1, 0, 0], [1, 2, 1, 0], [1, 3, 3, 1]], dtype=float)
+    W = binom[3] * (B - u)[:, None] ** (3 - j)
+    V = u[None, :] ** j[:, None]
+    shift = binom * float(B) ** np.maximum(j[:, None] - j, 0)
+    return K, W, V, shift
+
+
+_BLOCK_K, _BLOCK_W, _BLOCK_V, _BLOCK_SHIFT = _moment_operators(_SCAN_BLOCK)
+
+
+def _cubic_tail_moments(G: np.ndarray) -> np.ndarray:
+    """S[i] = sum over u >= i of G[u] (u - i)^3, for every row i, in O(rows x cols).
+
+    The rows are cut into blocks of _SCAN_BLOCK. Row i's sum splits at the
+    end a of its block: the rows before a give one small kernel product
+    (_BLOCK_K), the same for every block, and the rows from a on give
+    sum_j C(3, j) (a - i)^(3-j) T_j with T_j = sum over u >= a of G[u] (u - a)^j.
+    The tail moments T are carried from the last block to the first by the
+    binomial shift, so no array is larger than G padded to whole blocks. The
+    weights of both steps are positive: cancellation comes only from the
+    signs of G, as in a direct sum.
+    """
+    n, m = G.shape
+    B = _SCAN_BLOCK
+    nb = -(-n // B)
+    blocks = np.zeros((nb * B, m))
+    blocks[:n] = G
+    blocks = blocks.reshape(nb, B, m)
+    own = np.matmul(_BLOCK_V, blocks)
+    tail = np.empty((nb, 4, m))
+    tail[-1] = 0.0
+    for b in range(nb - 1, 0, -1):
+        tail[b - 1] = own[b] + _BLOCK_SHIFT @ tail[b]
+    S = np.matmul(_BLOCK_K, blocks)
+    S += np.matmul(_BLOCK_W, tail)
+    return S.reshape(nb * B, m)[:n]
+
+
+def _projected_gains(Q: np.ndarray, r: np.ndarray, c: np.ndarray, left: bool) -> np.ndarray:
+    """(r'q)^2 / q'q for each knot in c, with q its direction projected off Q
+    explicitly, in blocks of _SCAN_BLOCK columns written in place."""
+    L = len(r)
+    t = np.arange(1.0, L + 1.0)[:, None]
+    V = np.empty((L, min(len(c), _SCAN_BLOCK)))
+    W = np.empty_like(V)
+    gain = np.empty(len(c))
+    for start in range(0, len(c), _SCAN_BLOCK):
+        cc = c[start:start + _SCAN_BLOCK].astype(float)
+        P, T = V[:, :len(cc)], W[:, :len(cc)]
+        if left:
+            np.subtract(cc, t, out=P)
+        else:
+            np.subtract(t, cc, out=P)
+        np.maximum(P, 0.0, out=P)
+        np.multiply(P, P, out=T)
+        np.multiply(T, P, out=P)
+        for _ in range(2):  # the second pass restores orthogonality lost to rounding
+            np.matmul(Q, Q.T @ P, out=T)
+            np.subtract(P, T, out=P)
+        norm = np.sqrt(np.einsum("ij,ij->j", P, P))
+        gain[start:start + len(cc)] = np.square((r @ P) / np.where(norm > 0.0, norm, np.inf))
+    return gain
+
+
+def _direction_moments(G: np.ndarray, free: np.ndarray, mid: int):
+    """r'p, |Q'p|^2 and p'p for the direction p of each free knot, G being [r, Q].
+
+    p is (c - t)_+^3 for the first mid knots and (t - c)_+^3 for the others.
+    Each side reverses or cuts the rows of G so that the moments about c are
+    sums over the rows from c on (`_cubic_tail_moments`). p'p is the closed
+    form of the sum of s^6, which rounds about six times less than a
+    cumulative sum does at L = 20,000.
+    """
+    rp, qp, pp = np.empty(len(free)), np.empty(len(free)), np.empty(len(free))
+    for part, left in ((slice(0, mid), True), (slice(mid, len(free)), False)):
+        c = free[part]
+        if not len(c):
+            continue
+        if left:  # rows from the last knot of the side back to t = 1
+            rows, offset = G[c[-1] - 1::-1], c[-1] - c
+        else:  # rows from the first knot of the side on to t = L
+            rows, offset = G[c[0] - 1:], c - c[0]
+        S = _cubic_tail_moments(rows)[offset]
+        rp[part] = S[:, 0]
+        qp[part] = np.einsum("ij,ij->i", S[:, 1:], S[:, 1:])
+        n = (len(rows) - 1 - offset).astype(float)  # p'p = sum of s^6 for s = 1..n
+        pp[part] = n * (n + 1) * (2 * n + 1) * (3 * n**4 + 6 * n**3 - 3 * n + 1) / 42
+    return rp, qp, pp
+
+
 def _insertion_scores(y: np.ndarray, knots: list[int], free: np.ndarray) -> np.ndarray:
-    """MSE of the least-squares fit after adding each free knot, in one pass.
+    """MSE of the least-squares fit after adding each free knot, in O(L (k + 5)).
 
     Adding knot c to a cubic spline space adds the single direction
-    (t - c)_+^3, so with Q an orthonormal basis of the current space and
-    r = y - QQ'y the new residual sum of squares is RSS - (r'q)^2 / q'q,
-    q being the direction projected off Q. The direction is built on its
-    shorter side, (c - t)_+^3 left of the middle (equal to (t - c)_+^3 up
-    to a cubic), which keeps its norm and hence the cancellation small. The
-    candidates are scored in blocks of _SCAN_BLOCK columns written in place.
+    p = (t - c)_+^3, so with Q an orthonormal basis of the current space and
+    r = y - QQ'y the new residual sum of squares is RSS - (r'p)^2 / q'q,
+    where q'q = p'p - |Q'p|^2 is the squared norm of p projected off Q. The
+    direction is built on its shorter side, (c - t)_+^3 left of the middle
+    (equal to (t - c)_+^3 up to a cubic), which keeps its norm and hence the
+    cancellation small. r'p and Q'p are cubic moments of the columns of
+    [r, Q] about c, taken for every knot at once (`_direction_moments`).
+
+    Next to a chosen knot p nearly lies in the current space and q'q cancels,
+    so the rounding of |Q'p|^2 grows by p'p / q'q. Knots with q'q below
+    _GUARD_RTOL * p'p are therefore scored by projecting p off Q explicitly
+    (`_projected_gains`); about 3% of them are. Above the guard a score can
+    still be off by a few 1e-8 of the current MSE, while the shortlist of
+    `greedy_knot_search` admits 1e-6 of the best MSE: the scores only choose
+    which knots it refits, and the exact refits decide.
     """
     L = len(y)
-    t = np.arange(1.0, L + 1.0)[:, None]
     Q = np.linalg.qr(_design_matrix(L, knots))[0]
     r = y - Q @ (Q.T @ y)
     rss = float(r @ r)
-    V = np.empty((L, _SCAN_BLOCK))
-    W = np.empty((L, _SCAN_BLOCK))
-    gain = np.empty(len(free))
     mid = int(np.searchsorted(free, (L + 1) / 2.0))
-    for lo, hi, left in ((0, mid, True), (mid, len(free), False)):
-        for start in range(lo, hi, _SCAN_BLOCK):
-            stop = min(start + _SCAN_BLOCK, hi)
-            c = free[start:stop].astype(float)
-            P, T = V[:, :len(c)], W[:, :len(c)]
-            if left:
-                np.subtract(c, t, out=P)
-            else:
-                np.subtract(t, c, out=P)
-            np.maximum(P, 0.0, out=P)
-            np.multiply(P, P, out=T)
-            np.multiply(T, P, out=P)
-            for _ in range(2):  # the second pass restores orthogonality lost to rounding
-                np.matmul(Q, Q.T @ P, out=T)
-                np.subtract(P, T, out=P)
-            norm = np.sqrt(np.einsum("ij,ij->j", P, P))
-            gain[start:stop] = np.square((r @ P) / np.where(norm > 0.0, norm, np.inf))
+    rp, qp, pp = _direction_moments(np.column_stack([r, Q]), free, mid)
+    qq = pp - qp
+    guard = qq < _GUARD_RTOL * pp
+    gain = np.divide(np.square(rp), qq, out=np.empty(len(free)), where=~guard)
+    left = np.arange(len(free)) < mid
+    for side, is_left in ((left, True), (~left, False)):
+        gain[guard & side] = _projected_gains(Q, r, free[guard & side], is_left)
     return np.maximum(rss - gain, 0.0) / L
 
 
@@ -201,6 +306,16 @@ def greedy_knot_search(series: TargetSeries, k_max: int):
     smallest exact MSE, the smallest index among equal ones, and that exact
     MSE enters mse_path, so the result is that of refitting every index.
     """
+    return _knot_stages(series, k_max, fit_cubic_spline(series, []).mse)
+
+
+def _scan_floor(y: np.ndarray) -> float:
+    """The shortlist's absolute slack: scores closer than this tie."""
+    return _SHORTLIST_FLOOR * float(np.mean(y * y))
+
+
+def _knot_stages(series: TargetSeries, k_max: int, base_mse: float):
+    """`greedy_knot_search` from the MSE of the knot-free fit, base_mse."""
     L = len(series)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -208,9 +323,9 @@ def greedy_knot_search(series: TargetSeries, k_max: int):
         raise ValueError(f"k_max={k_max} exceeds {L - 5}, the fit limit for length {L}")
 
     y = series.values
-    floor = _SHORTLIST_FLOOR * float(np.mean(y * y))
+    floor = _scan_floor(y)
     knots: list[int] = []
-    mse_path = [fit_cubic_spline(series, knots).mse]
+    mse_path = [base_mse]
     for _ in range(k_max):
         free = np.setdiff1d(np.arange(2, L), knots)
         scores = _insertion_scores(y, knots, free)
@@ -251,14 +366,25 @@ K_MAX_DEFAULT = 10
 K_MAX_LEAST = 2  # the elbow cut compares the MSE after at least two knot counts
 
 
+class CubicTargetError(ValueError):
+    """A cubic without knots fits the target series exactly, so no knot lowers its MSE."""
+
+
 def build_dps(series: TargetSeries, k_max: int = K_MAX_DEFAULT) -> DpsResult:
     """Full pipeline: greedy knot sequence, MSE path, elbow cut.
 
-    ValueError unless K_MAX_LEAST <= k_max <= len(series) - 5.
+    ValueError unless K_MAX_LEAST <= k_max <= len(series) - 5. CubicTargetError
+    when the knot-free fit already reaches the scan's absolute slack: on a
+    constant, linear or cubic series every score ties within it, so every
+    stage would refit every index and return knots chosen by rounding.
     """
     if k_max < K_MAX_LEAST:
         raise ValueError(f"k_max must be at least {K_MAX_LEAST}, got {k_max}")
-    ordered, path = greedy_knot_search(series, k_max)
+    base_mse = fit_cubic_spline(series, []).mse
+    if base_mse <= _scan_floor(series.values):
+        raise CubicTargetError("target series is fit exactly by a cubic without knots "
+                               "(constant, linear or cubic), so no knot can lower its MSE")
+    ordered, path = _knot_stages(series, k_max, base_mse)
     k, warned = select_k_elbow(path)
     return DpsResult(ordered_knots=ordered, mse_path=path, k_selected=k,
                      elbow_warning=warned)

@@ -205,6 +205,22 @@ def test_msce_rejects_length_mismatch():
         msce_run(sim, np.ones(30), small_config())
 
 
+@pytest.mark.parametrize("target, message", [
+    (np.full(40, 2.5), "target series is constant"),
+    (np.linspace(-1.0, 3.0, 40), "fit exactly by a cubic without knots"),
+], ids=["constant", "linear"])
+def test_target_without_a_knot_to_place_is_refused_before_any_run(target, message):
+    sim = make_toy_simulator()
+    dps = build_dps(TargetSeries(toy_target(sim)), 3)
+    sim.reset_counter()
+    with pytest.raises(ValueError, match=message):
+        msce_run(sim, target, small_config())
+    if message.startswith("target series is constant"):
+        with pytest.raises(ValueError, match=message):
+            hm_run(sim, target, dps, n0=6, cutoff=3.0, config=small_config())
+    assert sim.calls == 0
+
+
 def test_extract_exact_match_containment():
     sim = make_toy_simulator()
     config = small_config()

@@ -151,6 +151,25 @@ def test_hm_target_length_checked_before_the_knot_scan(tmp_path, capsys, monkeyp
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("mode", ["calibrate", "hm"])
+@pytest.mark.parametrize("target, message", [
+    ([3.0] * 200, "config error: target series is constant"),
+    ([0.5 * t for t in range(200)], "config error: target series is fit exactly by a cubic"),
+], ids=["constant", "linear"])
+def test_target_without_a_knot_to_place_spends_no_run(tmp_path, capsys, monkeypatch,
+                                                      mode, target, message):
+    made = []
+    monkeypatch.setattr(cli, "get_simulator", lambda name: made.append(get_simulator(name))
+                        or made[-1])
+    extra = {"cutoff": 0.5} if mode == "hm" else {}
+    cfg = toy_calibrate_config(tmp_path, n0=15, N=50, k_max=10, target=target, **extra)
+    rc = cli.main([mode, cfg, "--out-dir", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert [sim.calls for sim in made] == [0]
+    assert not (tmp_path / "run").exists()
+
+
 def test_calibrate_run_dir(tmp_path):
     cfg = toy_calibrate_config(tmp_path)
     out = tmp_path / "run"
@@ -484,7 +503,9 @@ def test_commands_without_a_fit_load_no_scipy(tmp_path):
      "a.csv: target series needs at least 5 points"),
     ("dps", [[1.0, 2.0, 3.0, 4.0]], "a.csv: target series needs at least 5 points"),
     ("dps", [[]], "a.csv: target series needs at least 5 points"),
-], ids=["evaluate-lengths", "evaluate-constant", "evaluate-short", "dps-short", "dps-empty"])
+    ("dps", [[0.25 * t for t in range(600)]], "a.csv: target series is fit exactly by a cubic"),
+], ids=["evaluate-lengths", "evaluate-constant", "evaluate-short", "dps-short", "dps-empty",
+        "dps-line"])
 def test_unusable_series_file_is_input_error(tmp_path, capsys, cmd, files, message):
     paths = [write_series_csv(tmp_path / f"{name}.csv", values)
              for name, values in zip("ab", files)]

@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
+from dyncal import spline_dps
 from dyncal.simulators import target_series
-from dyncal.spline_dps import (DpsResult, TargetSeries, _design_matrix,
-                               build_dps, fit_cubic_spline, greedy_knot_search,
-                               select_k_elbow)
+from dyncal.spline_dps import (CubicTargetError, DpsResult, TargetSeries, _design_matrix,
+                               _insertion_scores, build_dps, fit_cubic_spline,
+                               greedy_knot_search, select_k_elbow)
 
 
 # -- independent textbook oracle: recursive Cox-de Boor basis -----------------
@@ -195,6 +198,125 @@ def test_greedy_scan_matches_brute_force(kind, L, k_frac, seed):
     ref_knots, ref_path = _brute_force_scan(series, k_max)
     assert knots == ref_knots
     assert np.array_equal(path, ref_path)
+
+
+def _dense_scores(y, knots, free):
+    """Reference scorer: every knot's direction projected off the current
+    spline space explicitly, twice. Returns the scores, the current MSE and
+    p'p / q'q, the factor by which cancellation in q'q amplifies rounding."""
+    L = len(y)
+    t = np.arange(1.0, L + 1.0)[:, None]
+    Q = np.linalg.qr(_design_matrix(L, knots))[0]
+    r = y - Q @ (Q.T @ y)
+    c = free.astype(float)
+    P = np.where(c < (L + 1) / 2.0, np.maximum(c - t, 0.0), np.maximum(t - c, 0.0)) ** 3
+    pp = np.einsum("ij,ij->j", P, P)
+    for _ in range(2):
+        P = P - Q @ (Q.T @ P)
+    qq = np.einsum("ij,ij->j", P, P)
+    gain = np.divide((r @ P) ** 2, qq, out=np.zeros(len(c)), where=qq > 0.0)
+    amplification = np.divide(pp, qq, out=np.full(len(c), np.inf), where=qq > 0.0)
+    return np.maximum(r @ r - gain, 0.0) / L, float(r @ r) / L, amplification
+
+
+def _parity_series(kind, L, knots, rng):
+    x = np.arange(1.0, L + 1.0)
+    if kind == "walk":
+        return np.cumsum(rng.normal(size=L))
+    if kind == "sine":
+        return np.sin(x * rng.uniform(0.01, 0.5)) + 0.1 * rng.normal(size=L)
+    if kind == "hydrograph":
+        return hydrograph(L, int(rng.integers(1000)), storms=max(1, L // 25))
+    # an exact cubic spline on (a subset of) the given knots: the residual is rounding
+    sub = knots[: len(knots) // 2 + 1] if knots else []
+    return _design_matrix(L, sub) @ rng.normal(size=len(sub) + 4)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["walk", "sine", "hydrograph", "spline"]),
+       L=st.integers(8, 600), count=st.integers(0, 12), seed=st.integers(0, 2**31))
+@example(kind="hydrograph", L=600, count=12, seed=4)
+@example(kind="spline", L=300, count=6, seed=0)
+def test_insertion_scores_match_dense_projection(kind, L, count, seed):
+    """The moment scores agree with the dense projection to 1e-9 of the
+    current MSE. Next to a chosen knot, where q'q cancels, the moment route
+    loses rounding in proportion to p'p / q'q; the guard caps that factor at
+    1 / _GUARD_RTOL. An exact fit leaves a residual of rounding only, whose
+    scores agree to 1e-14 * mean(y^2), the scan's absolute slack."""
+    rng = np.random.default_rng(seed)
+    knots = sorted(rng.choice(np.arange(2, L), min(count, L - 6), replace=False).tolist())
+    y = _parity_series(kind, L, knots, rng)
+    free = np.setdiff1d(np.arange(2, L), knots)
+    got = _insertion_scores(y, knots, free)
+    want, mse, amplification = _dense_scores(y, knots, free)
+    eps = np.finfo(float).eps
+    tol = mse * (1e-9 + 16.0 * eps * amplification) + 1e-14 * float(np.mean(y * y))
+    assert np.all(np.abs(got - want) <= tol)
+
+
+def hydrograph(L, seed, storms=60):
+    """Synthetic daily runoff (as in perfbench/workloads.py): a two-season
+    baseflow plus gamma-shaped storms at random times."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(L, dtype=float)
+    x = t / L
+    q = 1.0 + 1.5 * np.exp(-((x - 0.35) / 0.12) ** 2) + 0.8 * np.exp(-((x - 0.75) / 0.08) ** 2)
+    for onset, size, recession in zip(rng.uniform(0.0, 0.95 * L, storms),
+                                      rng.lognormal(0.0, 0.5, storms),
+                                      rng.uniform(0.002, 0.01, storms) * L):
+        lag = np.maximum(t - onset, 0.0) / recession
+        q += 0.15 * size * lag ** 2 * np.exp(-lag)
+    return q
+
+
+def test_crowded_knots_keep_the_exact_choice():
+    """Knots 446, 447 and 449 end up side by side. At stage 9 q'q cancels next
+    to 446 and 449: without the guard the scores of 445-450 miss their exact
+    MSE by up to 48 times the shortlist's slack, and a miss upwards would
+    drop the best knot from the shortlist. With it they miss by under 1%."""
+    series = TargetSeries(hydrograph(1500, 6))
+    knots, path = greedy_knot_search(series, 10)
+    assert knots == [990, 449, 1085, 326, 748, 446, 778, 1389, 447, 260]
+    for i, mse in enumerate(path):
+        assert mse == fit_cubic_spline(series, knots[:i]).mse
+    before = knots[:8]
+    free = np.setdiff1d(np.arange(2, 1500), before)
+    scores = _insertion_scores(series.values, before, free)
+    slack = 1e-6 * path[9] + 1e-14 * float(np.mean(series.values ** 2))
+    for j in np.flatnonzero((free >= 430) & (free <= 470)):
+        exact = fit_cubic_spline(series, before + [int(free[j])]).mse
+        assert abs(scores[j] - exact) <= 0.01 * slack
+
+
+def test_insertion_scores_memory_stays_linear():
+    """One stage at L = 20,000 with 10 knots peaked at 13.9 MB of traced
+    allocations, most of it the guard's two L x 32 projection buffers. A
+    single (L/32) x L array would add 100 MB."""
+    L = 20_000
+    y = hydrograph(L, 3)
+    knots = sorted(np.random.default_rng(0).choice(np.arange(2, L), 10, replace=False).tolist())
+    free = np.setdiff1d(np.arange(2, L), knots)
+    tracemalloc.start()
+    try:
+        _insertion_scores(y, knots, free)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18e6
+
+
+@pytest.mark.parametrize("values", [
+    np.full(600, 2.5), np.zeros(600), 0.25 * np.arange(600.0),
+    1e-6 * (np.arange(600.0) - 200.0) ** 3 + 3.0,
+], ids=["constant", "zero", "linear", "cubic"])
+def test_build_dps_refuses_a_series_a_cubic_fits_exactly(monkeypatch, values):
+    fits = []
+    counted = fit_cubic_spline
+    monkeypatch.setattr(spline_dps, "fit_cubic_spline",
+                        lambda *a: fits.append(a) or counted(*a))
+    with pytest.raises(CubicTargetError, match="fit exactly by a cubic without knots"):
+        build_dps(TargetSeries(values), k_max=3)
+    assert len(fits) == 1
 
 
 def test_greedy_mse_path_non_increasing():
