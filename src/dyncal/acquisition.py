@@ -28,14 +28,6 @@ class ContourTarget:
             raise ValueError("alpha must be positive")
 
 
-def improvement(y: float, pred_sd: float, target: ContourTarget) -> float:
-    """Realized improvement of a response draw y inside the band eps = alpha*s."""
-    if pred_sd < 0:
-        raise ValueError("predictive sd must be nonnegative")
-    eps2 = (target.alpha * pred_sd) ** 2
-    return eps2 - min((y - target.a) ** 2, eps2)
-
-
 def _norm_pdf(u):
     """Standard normal density, the expression scipy.stats.norm.pdf uses."""
     return np.exp(-u ** 2 / 2.0) / np.sqrt(2.0 * np.pi)

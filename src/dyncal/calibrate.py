@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -46,9 +47,13 @@ def check_integer(value, name: str):
 
 
 def check_number(value, name: str):
-    """value itself; ValueError unless it is a real number (a bool is not)."""
+    """value itself; ValueError unless it is a real number (a bool is not)
+    that is finite as a float: JSON's NaN and Infinity are refused, and so is
+    an integer beyond the float range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # also false for NaN
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 

@@ -11,10 +11,10 @@ The optimized designs come from one exchange search (Jin, Chen & Sudjianto
 by simulated-annealing acceptance. The search keeps the value of every pair
 of rows in one vector, so a swap of rows i and j recomputes only the 2(n - 2)
 pairs that involve them, and the cost is still taken over the whole vector:
-every cost is bit-equal to `maxpro_criterion` or `-min_pairwise_distance` of
-the current design. The draws per iteration are fixed (a column, two rows,
-and an acceptance draw only for an uphill swap), so a seed gives the same
-design. They are the draws `rng.integers`, `rng.choice` and `rng.random`
+every cost is bit-equal to the MaxPro criterion or to minus the smallest
+pairwise distance (as `pdist` computes it) of the current design. The draws
+per iteration are fixed (a column, two rows, and an acceptance draw only for
+an uphill swap), so a seed gives the same design. They are the draws `rng.integers`, `rng.choice` and `rng.random`
 would make, computed in Python from PCG64 words read in blocks
 (`_Pcg64Draws`), and the generator is left in the state those calls would
 leave; the search therefore needs a PCG64 generator, as `default_rng` makes.
@@ -61,31 +61,6 @@ def random_lhd(n: int, d: int, seed=None) -> np.ndarray:
     return design
 
 
-def is_latin_hypercube(points: np.ndarray) -> bool:
-    """Check the per-dimension stratification invariant exactly."""
-    points = np.asarray(points)
-    n = points.shape[0]
-    if np.any(points < 0.0) or np.any(points > 1.0):
-        return False
-    strata = np.floor(points * n).astype(int)
-    strata = np.minimum(strata, n - 1)  # guard coordinate exactly 1.0
-    return all(len(np.unique(strata[:, k])) == n for k in range(points.shape[1]))
-
-
-def min_pairwise_distance(points: np.ndarray) -> float:
-    """Smallest Euclidean distance between any two design points.
-
-    The squared distances are summed column by column, as `pdist` sums them,
-    and sqrt is correctly rounded and so monotone: the result is bit-equal to
-    `pdist(points).min()`.
-    """
-    points = np.asarray(points, dtype=float)
-    if points.shape[0] < 2:
-        raise ValueError("minimum pairwise distance needs at least 2 points")
-    i, j = _pair_indices(points.shape[0])
-    return math.sqrt(np.minimum.reduce(_squared_distances(points[i] - points[j])))
-
-
 @lru_cache(maxsize=16)
 def _pair_indices(n: int):
     """Row indices (i, j) of all pairs i < j, in `triu_indices` order; read-only,
@@ -104,7 +79,14 @@ def _inverse_products(diff: np.ndarray) -> np.ndarray:
 
 
 def _maxpro_cost(values: np.ndarray, d: int) -> float:
-    """psi(D) from the pair values of every pair."""
+    """The maximum projection criterion (Joseph, Gul & Ba 2015), smaller is
+    better, from the pair values of every pair:
+
+    psi(D) = [ (1/C(n,2)) sum_{i<j} 1 / prod_k (x_ik - x_jk)^2 ]^(1/d).
+
+    Infinite when two points share a coordinate in some dimension, which a
+    valid LHD rules out.
+    """
     return float((np.add.reduce(values) / len(values)) ** (1.0 / d))
 
 
@@ -120,7 +102,9 @@ def _squared_distances(diff: np.ndarray) -> np.ndarray:
 
 def _maximin_cost(values: np.ndarray, d: int) -> float:
     """Minus the smallest distance. sqrt is correctly rounded and so monotone:
-    the root of the smallest squared distance is the smallest distance."""
+    the root of the smallest squared distance is the smallest distance, and
+    with the squares summed as `pdist` sums them it is bit-equal to
+    `pdist(points).min()`."""
     return -math.sqrt(np.minimum.reduce(values))
 
 
@@ -129,22 +113,6 @@ _CRITERIA = {
     "maxpro": (_inverse_products, _maxpro_cost),
     "maximin": (_squared_distances, _maximin_cost),
 }
-
-
-def maxpro_criterion(points: np.ndarray) -> float:
-    """Maximum projection criterion psi(D); smaller is better.
-
-    psi(D) = [ (1/C(n,2)) sum_{i<j} 1 / prod_k (x_ik - x_jk)^2 ]^(1/d).
-    Infinite when two points share a coordinate in some dimension, which a
-    valid LHD rules out.
-    """
-    points = np.asarray(points, dtype=float)
-    n, d = points.shape
-    if n < 2:
-        raise ValueError("MaxPro criterion needs at least 2 points")
-    i, j = _pair_indices(n)
-    with np.errstate(divide="ignore"):
-        return _maxpro_cost(_inverse_products(points[i] - points[j]), d)
 
 
 class _Pcg64Draws:
@@ -253,11 +221,11 @@ def _exchange_optimize(points, criterion, rng, iterations):
     only those are recomputed (their positions are cached per row pair), and
     a rejected swap puts the old values back. The cost is still taken over
     the whole vector (its sum for MaxPro, its minimum for maximin), so every
-    cost is bit-equal to `maxpro_criterion` or `-min_pairwise_distance` of the
-    current design. Each iteration draws `rng.integers(d)` and
-    `rng.choice(n, 2, replace=False)`, and one `rng.random()` only for an
-    uphill proposal, all through `_Pcg64Draws`: a given stream gives the same
-    design. rng must be a PCG64 `Generator`.
+    cost is bit-equal to that of the current design computed afresh. Each
+    iteration draws `rng.integers(d)` and `rng.choice(n, 2, replace=False)`,
+    and one `rng.random()` only for an uphill proposal, all through
+    `_Pcg64Draws`: a given stream gives the same design. rng must be a PCG64
+    `Generator`.
     """
     pair_values, cost = _CRITERIA[criterion]
     current = np.array(points, dtype=float)

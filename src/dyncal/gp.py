@@ -3,12 +3,19 @@
 Model: y(x) = mu + Z(x) with Z a zero-mean stationary GP whose correlation is
 power-exponential,
 
-    R(x_i, x_j) = prod_k exp(-theta_k |x_ik - x_jk|^p_k),
+    R(x_i, x_j) = prod_k exp(-theta_k |x_ik - x_jk|^p).
 
-with smoothness fixed at p = 1.95 by default. Fitting maximizes the profile
-log-likelihood over theta on a bounded log-scale box; mu and sigma^2 have
-closed-form profile estimates. Predictions use the BLUP mean and the
-classical kriging variance s^2(x) = sigma2 * (1 - r' R^-1 r).
+Fitting maximizes the profile log-likelihood over theta on a bounded
+log-scale box; mu and sigma^2 have closed-form profile estimates.
+Predictions use the BLUP mean and the classical kriging variance
+s^2(x) = sigma2 * (1 - r' R^-1 r).
+
+Every surrogate is fitted with one fixed setup, held in module constants:
+the smoothness p = 1.95 (`SMOOTHNESS`) in every dimension, the theta box
+[1e-2, 1e2] (`THETA_BOUNDS`), 5 Nelder-Mead starts from a random LHD of
+seed 0 (`N_STARTS`, `START_SEED`) with 500 evaluations each
+(`EVALS_PER_START`), and a nugget of 1e-8 escalated tenfold up to 1e-4
+when R is not positive definite (`NUGGET_START`, `NUGGET_CAP`).
 
 Every likelihood evaluation and every model assembly goes through one path:
 `_factor` takes the lower Cholesky factor L of R + nugget*I (LAPACK potrf,
@@ -66,7 +73,13 @@ import numpy as np
 
 from .designs import random_lhd
 
-DEFAULT_P = 1.95
+SMOOTHNESS = 1.95  # the exponent p of the kernel, in every dimension
+THETA_BOUNDS = (1e-2, 1e2)  # the box of the likelihood search
+N_STARTS = 5  # Nelder-Mead starts, a random LHD on the log10 box
+START_SEED = 0  # the seed of that LHD
+EVALS_PER_START = 500
+NUGGET_START = 1e-8  # escalated tenfold while R + nugget*I is not positive definite
+NUGGET_CAP = 1e-4
 
 
 def _bind_lapack():
@@ -91,39 +104,20 @@ class FitError(RuntimeError):
     """Correlation matrix could not be factorized even at the maximum nugget."""
 
 
-@dataclass
-class CorrelationSpec:
-    """Power-exponential correlation parameters.
-
-    theta: length-d vector of nonnegative decay rates (per scaled-input unit).
-    p: smoothness exponent in (0, 2], scalar applied to every dimension.
-    """
-
-    theta: np.ndarray
-    p: float = DEFAULT_P
-
-    def __post_init__(self):
-        self.theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
-        if np.any(self.theta < 0):
-            raise ValueError("correlation decay rates must be nonnegative")
-        if not (0.0 < self.p <= 2.0):
-            raise ValueError(f"smoothness exponent must be in (0, 2], got {self.p}")
-
-
-def _powered(A: np.ndarray, B: np.ndarray, p: float) -> np.ndarray:
-    """|a_k - b_k|^p for every row a of A and b of B, shape (n_A, n_B, d).
+def _powered(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """|a_k - b_k|^p for every row a of A and b of B, shape (n_A, n_B, d),
+    with p = SMOOTHNESS.
 
     Bit-equal to np.abs(A[:, None, :] - B[None, :, :]) ** p, in one array:
     the differences go in one coordinate at a time, so numpy's inner loop
     runs over the n_B rows of B rather than over the d coordinates, and the
-    absolute value and the power are taken in place (`**=` keeps `**`'s
-    special cases, such as squaring for p = 2).
+    absolute value and the power are taken in place.
     """
     out = np.empty((A.shape[0], B.shape[0], A.shape[1]))
     for k in range(A.shape[1]):
         np.subtract(A[:, k, None], B[None, :, k], out=out[:, :, k])
     np.abs(out, out=out)
-    out **= p
+    out **= SMOOTHNESS
     return out
 
 
@@ -132,7 +126,7 @@ def _corr(flat: np.ndarray, theta: np.ndarray,
     """Power-exponential correlations from powered distances given as rows.
 
     flat holds one pair's powered distances per row, shape (N, d), as
-    `_powered(A, B, p).reshape(-1, d)` gives them; the result has shape (N,)
+    `_powered(A, B).reshape(-1, d)` gives them; the result has shape (N,)
     and is written into out when it is given. The sign goes into theta:
     negation is exact and rounding is symmetric in sign, so flat @ -theta is
     bit-equal to -(flat @ theta).
@@ -143,25 +137,12 @@ def _corr(flat: np.ndarray, theta: np.ndarray,
 
 
 @dataclass
-class FitConfig:
-    """Knobs for the profile-likelihood search."""
-
-    theta_bounds: tuple[float, float] = (1e-2, 1e2)
-    n_starts: int = 5
-    max_evals_per_start: int = 500
-    p: float = DEFAULT_P
-    nugget_start: float = 1e-8
-    nugget_cap: float = 1e-4
-    seed: int = 0
-
-
-@dataclass
 class GpModel:
     """Fitted ordinary-kriging surrogate. Immutable after fit_gp."""
 
     X: np.ndarray
     y: np.ndarray
-    spec: CorrelationSpec
+    theta: np.ndarray  # the length-d nonnegative decay rates (per scaled-input unit)
     mu_hat: float
     sigma2_hat: float
     nugget: float
@@ -255,9 +236,9 @@ def _profile(L: np.ndarray, rhs: np.ndarray):
 _NLL_BAD = 1e25  # finite sentinel so simplex arithmetic stays warning-free
 
 
-def _profile_nll(theta, ws: _Workspace, cfg: FitConfig):
+def _profile_nll(theta, ws: _Workspace):
     """Negative profile log-likelihood (up to constants): n log s2 + log|R|."""
-    L, _ = _factor(ws, theta, cfg.nugget_start, cfg.nugget_cap, clean=False)
+    L, _ = _factor(ws, theta, NUGGET_START, NUGGET_CAP, clean=False)
     if L is None:
         return _NLL_BAD
     _, sigma2, logdet, _ = _profile(L, ws.rhs)
@@ -266,13 +247,13 @@ def _profile_nll(theta, ws: _Workspace, cfg: FitConfig):
     return ws.n * np.log(sigma2) + logdet
 
 
-def _nll_log10(log_theta, ws: _Workspace, lo: float, hi: float, cfg: FitConfig):
+def _nll_log10(log_theta, ws: _Workspace, lo: float, hi: float):
     """The fitting objective: `_profile_nll` at theta = 10^log_theta, and
     `_NLL_BAD` when a coordinate lies outside the box [lo, hi]."""
     for v in log_theta.tolist():
         if v < lo or v > hi:
             return _NLL_BAD
-    return _profile_nll(10.0 ** log_theta, ws, cfg)
+    return _profile_nll(10.0 ** log_theta, ws)
 
 
 @dataclass
@@ -396,30 +377,33 @@ def minimize(fun, x0, args=(), *, maxfev: int, xatol: float,
     return MinimizeResult(x=np.array(sim[0]), fun=float(np.min(fsim)), nfev=nfev)
 
 
-def build_gp_model(X: np.ndarray, y: np.ndarray, spec: CorrelationSpec,
-                   nugget: float) -> GpModel:
-    """Assemble a model at fixed correlation parameters (no optimization).
+def build_gp_model(X: np.ndarray, y: np.ndarray, theta, nugget: float) -> GpModel:
+    """Assemble a model at fixed decay rates theta (no optimization).
 
     The profile estimates mu_hat and sigma2_hat are computed from the data;
-    a constant response gives the degenerate constant model.
+    a constant response gives the degenerate constant model. ValueError when
+    a decay rate is negative.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if np.any(theta < 0):
+        raise ValueError("correlation decay rates must be nonnegative")
     if y.max() == y.min():  # np.std of a constant can be an ulp above zero
-        return GpModel(X=X, y=y, spec=spec, mu_hat=float(y[0]), sigma2_hat=0.0,
+        return GpModel(X=X, y=y, theta=theta, mu_hat=float(y[0]), sigma2_hat=0.0,
                        nugget=0.0, chol=None, y_mean=float(y[0]), y_scale=1.0,
                        degenerate=True)
     y_mean = float(np.mean(y))
     y_scale = float(np.std(y))
     y_std = (y - y_mean) / y_scale
-    ws = _Workspace(_powered(X, X, spec.p), y_std)
-    L, _ = _factor(ws, spec.theta, nugget, nugget)
+    ws = _Workspace(_powered(X, X), y_std)
+    L, _ = _factor(ws, theta, nugget, nugget)
     if L is None:
         raise FitError(f"correlation matrix not positive definite at nugget {nugget}")
     mu_std, sigma2_std, _, w = _profile(L, ws.rhs)
     alpha, _ = dtrtrs(L, w, lower=1, trans=1)
     return GpModel(
-        X=X, y=y, spec=spec,
+        X=X, y=y, theta=theta,
         mu_hat=y_mean + y_scale * mu_std,
         sigma2_hat=y_scale ** 2 * sigma2_std,
         nugget=nugget, chol=L,
@@ -428,7 +412,7 @@ def build_gp_model(X: np.ndarray, y: np.ndarray, spec: CorrelationSpec,
     )
 
 
-def fit_gp(X: np.ndarray, y: np.ndarray, config: FitConfig | None = None) -> GpModel:
+def fit_gp(X: np.ndarray, y: np.ndarray) -> GpModel:
     """Fit the surrogate by multistart profile-likelihood maximization.
 
     Responses are standardized to zero mean / unit variance internally; the
@@ -442,7 +426,6 @@ def fit_gp(X: np.ndarray, y: np.ndarray, config: FitConfig | None = None) -> GpM
         If the correlation matrix stays non-positive-definite at the final
         theta even with the maximum allowed nugget.
     """
-    cfg = config or FitConfig()
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     n, d = X.shape
@@ -454,28 +437,26 @@ def fit_gp(X: np.ndarray, y: np.ndarray, config: FitConfig | None = None) -> GpM
         raise ValueError("responses must be finite")
 
     if y.max() == y.min():
-        return build_gp_model(X, y, CorrelationSpec(np.zeros(d), cfg.p), 0.0)
+        return build_gp_model(X, y, np.zeros(d), 0.0)
     y_mean = float(np.mean(y))
     y_scale = float(np.std(y))
     y_std = (y - y_mean) / y_scale
 
-    ws = _Workspace(_powered(X, X, cfg.p), y_std)
-    lo, hi = np.log10(cfg.theta_bounds[0]), np.log10(cfg.theta_bounds[1])
+    ws = _Workspace(_powered(X, X), y_std)
+    lo, hi = np.log10(THETA_BOUNDS[0]), np.log10(THETA_BOUNDS[1])
 
-    starts = lo + (hi - lo) * random_lhd(cfg.n_starts, d, seed=cfg.seed)
+    starts = lo + (hi - lo) * random_lhd(N_STARTS, d, seed=START_SEED)
     best = None
     for idx, s in enumerate(starts):
-        res = minimize(_nll_log10, s, args=(ws, float(lo), float(hi), cfg),
-                       maxfev=cfg.max_evals_per_start, xatol=1e-3, fatol=1e-8)
+        res = minimize(_nll_log10, s, args=(ws, float(lo), float(hi)),
+                       maxfev=EVALS_PER_START, xatol=1e-3, fatol=1e-8)
         cand = (res.fun, idx, res.x)
         if best is None or cand[0] < best[0]:
             best = cand
 
     theta = 10.0 ** np.clip(best[2], lo, hi)
-    spec = CorrelationSpec(theta, cfg.p)
-
-    _, nugget = _factor(ws, theta, cfg.nugget_start, cfg.nugget_cap, clean=False)
-    return build_gp_model(X, y, spec, nugget)
+    _, nugget = _factor(ws, theta, NUGGET_START, NUGGET_CAP, clean=False)
+    return build_gp_model(X, y, theta, nugget)
 
 
 def _mean(model: GpModel, powered: np.ndarray):
@@ -487,7 +468,7 @@ def _mean(model: GpModel, powered: np.ndarray):
     n, m, d = powered.shape
     if model.degenerate:
         return np.full(m, model.mu_hat), None
-    r = _corr(powered.reshape(n * m, d), model.spec.theta).reshape(n, m)
+    r = _corr(powered.reshape(n * m, d), model.theta).reshape(n, m)
     return model.y_mean + model.y_scale * (model.mu_std + r.T @ model.alpha), r
 
 
@@ -535,17 +516,14 @@ class MeanBank:
         if not models:
             raise ValueError("need at least one model")
         self.X = models[0].X
-        self.p = models[0].spec.p
         for m in models:
             if m.X is not self.X and not np.array_equal(m.X, self.X):
                 raise ValueError("models must share training inputs")
-            if m.spec.p != self.p:
-                raise ValueError("models must share the smoothness exponent")
         self.models = models
 
     def means(self, x_batch: np.ndarray) -> np.ndarray:
         """Posterior means, shape (batch, n_models)."""
-        powered = _powered(self.X, np.atleast_2d(np.asarray(x_batch, dtype=float)), self.p)
+        powered = _powered(self.X, np.atleast_2d(np.asarray(x_batch, dtype=float)))
         out = np.empty((powered.shape[1], len(self.models)))
         for k, model in enumerate(self.models):
             out[:, k] = _mean(model, powered)[0]
@@ -559,7 +537,7 @@ class MeanBank:
         are dropped before the last model's variance, so with one model the
         sweep never holds the distances and the solve's buffer at once.
         """
-        powered = _powered(self.X, np.atleast_2d(np.asarray(x_batch, dtype=float)), self.p)
+        powered = _powered(self.X, np.atleast_2d(np.asarray(x_batch, dtype=float)))
         shape = (len(self.models), powered.shape[1])
         means, s2 = np.empty(shape), np.empty(shape)
         for k, model in enumerate(self.models):

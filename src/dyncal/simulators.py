@@ -46,6 +46,8 @@ class SimulatorSpec:
         self.time_grid = np.asarray(self.time_grid, dtype=float)
         if len(self.time_grid) != self.L:
             raise ValueError("time grid length does not match L")
+        if not np.all(np.isfinite(self.time_grid)):
+            raise ValueError("time grid must be finite")
         if np.any(np.diff(self.time_grid) <= 0):
             raise ValueError("time grid must be strictly increasing")
         for lo, hi in self.native_bounds:
@@ -117,9 +119,6 @@ class Simulator:
     def peek(self, x_scaled) -> np.ndarray:
         x_native = self.spec.unscale(x_scaled)
         return np.asarray(self._func(x_native, self.spec.time_grid), dtype=float)
-
-    def reset_counter(self):
-        self.calls = 0
 
 
 EASOM_SPEC = SimulatorSpec(
@@ -217,8 +216,11 @@ class ExternalSimulator(Simulator):
     def _parse_output(self, out_path: Path) -> np.ndarray:
         if not out_path.exists():
             raise ProtocolError(f"simulator wrote no {out_path.name}")
-        with open(out_path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        try:
+            with open(out_path, newline="") as fh:
+                rows = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ProtocolError(f"unreadable {out_path.name}: {exc}")
         if not rows or [c.strip() for c in rows[0]] != ["t", "value"]:
             raise ProtocolError("output.csv must start with header 't,value'")
         data = rows[1:]

@@ -28,7 +28,7 @@ those of refitting every index.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,12 +63,12 @@ class DpsResult:
     ordered_knots: list[int]
     mse_path: np.ndarray  # MSE after 0, 1, ..., k_max knots
     k_selected: int
-    dps: list[int] = field(default_factory=list)
     elbow_warning: bool = False
 
-    def __post_init__(self):
-        if not self.dps:
-            self.dps = list(self.ordered_knots[: self.k_selected])
+    @property
+    def dps(self) -> list[int]:
+        """The DPS: the first k_selected knots of the greedy sequence."""
+        return list(self.ordered_knots[: self.k_selected])
 
     def to_dict(self) -> dict:
         """JSON-ready form, as written to dps.json and to result.json's dps block."""

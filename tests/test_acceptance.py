@@ -19,7 +19,7 @@ from dyncal.acquisition import ContourTarget, expected_improvement
 from dyncal.calibrate import MsceConfig, hm_run, msce_run, write_run_artifacts, \
     resolved_config_dict
 from dyncal.designs import random_lhd
-from dyncal.gp import CorrelationSpec, build_gp_model, fit_gp, predict_batch
+from dyncal.gp import build_gp_model, fit_gp, predict_batch
 from dyncal.simulators import (EASOM_SPEC, ExternalSimulator, get_simulator,
                                target_series)
 from dyncal.spline_dps import TargetSeries, build_dps, fit_cubic_spline, \
@@ -123,7 +123,7 @@ def test_criterion_04_gp_dense_oracle_and_invariants():
         y = np.sin(3 * X[:, 0]) + X @ rng.uniform(-2, 2, size=d)
         theta = 10.0 ** rng.uniform(-1, 1, size=d)
 
-        model = build_gp_model(X, y, CorrelationSpec(theta), nugget=0.0)
+        model = build_gp_model(X, y, theta, nugget=0.0)
         x_star = rng.uniform(size=d)
         mean, s2 = predict_batch(model, x_star[None])
 

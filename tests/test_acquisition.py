@@ -4,7 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyncal.acquisition import (ContourTarget, expected_improvement,
-                                implausibility, implausibility_max, improvement)
+                                implausibility, implausibility_max)
+
+
+def improvement(y: float, pred_sd: float, target: ContourTarget) -> float:
+    """Realized improvement of a response draw y inside the band eps = alpha*s,
+    the quantity whose expectation `expected_improvement` gives."""
+    if pred_sd < 0:
+        raise ValueError("predictive sd must be nonnegative")
+    eps2 = (target.alpha * pred_sd) ** 2
+    return eps2 - min((y - target.a) ** 2, eps2)
 
 
 def mc_expected_improvement(pred_mean, pred_sd, target, n_draws, seed):

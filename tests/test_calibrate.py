@@ -106,7 +106,6 @@ def test_solve_scalar_contour_budget_and_interpolation():
     sim = make_toy_simulator()
     config = small_config()
     target = toy_target(sim)
-    sim.reset_counter()
     X = random_lhd(6, 2, seed=1)
     Y = np.vstack([sim.run(x) for x in X])
     log = []
@@ -127,7 +126,6 @@ def test_solve_scalar_contour_budget_and_interpolation():
 def test_msce_budget_exact_and_origins():
     sim = make_toy_simulator()
     target = toy_target(sim)
-    sim.reset_counter()
     config = small_config()
     result = msce_run(sim, target, config)
     assert result.budget_used == config.N
@@ -212,7 +210,6 @@ def test_msce_rejects_length_mismatch():
 def test_target_without_a_knot_to_place_is_refused_before_any_run(target, message):
     sim = make_toy_simulator()
     dps = build_dps(TargetSeries(toy_target(sim)), 3)
-    sim.reset_counter()
     with pytest.raises(ValueError, match=message):
         msce_run(sim, target, small_config())
     if message.startswith("target series is constant"):
@@ -298,7 +295,6 @@ def test_hm_tiny_cutoff_stops_after_first_stage(tmp_path):
     sim = make_toy_simulator()
     target = toy_target(sim)
     dps = build_dps(TargetSeries(target), 3)
-    sim.reset_counter()
     config = small_config()
     result = hm_run(sim, target, dps, n0=6, cutoff=1e-9, config=config)
     assert result.budget_used == 6

@@ -1,5 +1,6 @@
 import filecmp
 import json
+import math
 import stat
 import sys
 import textwrap
@@ -265,6 +266,16 @@ def _external_spec(**overrides):
      "simulator bounds must be 2 [low, high] pairs"),
     ("calibrate", {"simulator": _external_spec(command=[]), "target": [0.0] * 10},
      "simulator command must not be empty"),
+    ("calibrate", {"alpha": math.nan}, "alpha must be finite, got nan"),
+    ("calibrate", {"epsilon": math.inf}, "epsilon must be finite, got inf"),
+    ("hm", {"cutoff": math.nan}, "cutoff must be finite, got nan"),
+    ("calibrate", {"simulator": _external_spec(bounds=[[0, math.inf], [0, 1]]),
+                   "target": [0.0] * 10}, "simulator bound must be finite, got inf"),
+    ("calibrate", {"simulator": _external_spec(timeout=math.nan), "target": [0.0] * 10},
+     "simulator timeout must be finite, got nan"),
+    ("calibrate", {"simulator": _external_spec(time_grid=list(range(1, 10)) + [math.nan]),
+                   "target": [0.0] * 10}, "time grid must be finite"),
+    ("calibrate", {"epsilon": 10 ** 400}, "epsilon must be finite, got 1000"),
 ])
 def test_mistyped_config_value_is_config_error(tmp_path, capsys, mode, overrides, message):
     cfg = toy_calibrate_config(tmp_path, **overrides)

@@ -6,9 +6,31 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
-from dyncal.designs import (_exchange_optimize, _Pcg64Draws, is_latin_hypercube,
-                            maximin_lhd, maxpro_criterion, maxpro_lhd,
-                            min_pairwise_distance, random_lhd)
+from dyncal import designs
+from dyncal.designs import (_exchange_optimize, _inverse_products, _maxpro_cost,
+                            _pair_indices, _Pcg64Draws, _squared_distances, maximin_lhd,
+                            maxpro_lhd, random_lhd)
+
+
+def is_latin_hypercube(points: np.ndarray) -> bool:
+    """Check the per-dimension stratification invariant exactly."""
+    points = np.asarray(points)
+    n = points.shape[0]
+    if np.any(points < 0.0) or np.any(points > 1.0):
+        return False
+    strata = np.floor(points * n).astype(int)
+    strata = np.minimum(strata, n - 1)  # guard coordinate exactly 1.0
+    return all(len(np.unique(strata[:, k])) == n for k in range(points.shape[1]))
+
+
+def maxpro_criterion(points: np.ndarray) -> float:
+    """The MaxPro criterion psi(D) of a whole design, through the search's own
+    pair values and cost, as the exchange search takes it after every swap."""
+    points = np.asarray(points, dtype=float)
+    n, d = points.shape
+    i, j = _pair_indices(n)
+    with np.errstate(divide="ignore"):
+        return _maxpro_cost(_inverse_products(points[i] - points[j]), d)
 
 
 def test_random_lhd_quarter_strata():
@@ -66,7 +88,7 @@ def test_maximin_never_worse_than_start(n, d):
     start = _replicated_start(n, d, 7)
     out = maximin_lhd(n, d, seed=7, iterations=2000)
     assert is_latin_hypercube(out)
-    assert min_pairwise_distance(out) >= min_pairwise_distance(start)
+    assert pdist(out).min() >= pdist(start).min()
 
 
 @pytest.mark.parametrize("n,d", [(5, 2), (18, 3)])
@@ -94,7 +116,7 @@ def _brute_force_optimum(cost):
 
 
 def _maximin_cost(points):
-    """The maximin cost from scipy, independent of `min_pairwise_distance`."""
+    """The maximin cost from scipy, independent of the search's own."""
     return -float(pdist(points).min())
 
 
@@ -171,10 +193,12 @@ def test_incremental_exchange_matches_full_recompute(n, d, iterations, criterion
 @example(n=12, d=3, seed=1, scale=0.0, digits=1)  # many tied and zero distances
 @settings(max_examples=200, deadline=None)
 def test_min_pairwise_distance_bit_equal_to_pdist(n, d, seed, scale, digits):
+    """The maximin search's cost is minus the smallest distance as pdist gives it."""
     points = np.random.default_rng(seed).uniform(size=(n, d)) * 10.0 ** scale
     if digits is not None:
         points = np.round(points, digits)
-    got = min_pairwise_distance(points)
+    i, j = _pair_indices(n)
+    got = -designs._maximin_cost(_squared_distances(points[i] - points[j]), d)
     assert type(got) is float
     assert got == float(pdist(points).min())
 

@@ -9,11 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
+import dyncal.gp as gp
 from conftest import run_fresh_python
 from dyncal.designs import random_lhd
-from dyncal.gp import (DEFAULT_P, CorrelationSpec, FitConfig, FitError, MeanBank,
-                       build_gp_model, fit_gp, minimize, predict_batch, _corr, _factor,
-                       _nll_log10, _NLL_BAD, _powered, _profile, _profile_nll,
+from dyncal.gp import (NUGGET_CAP, NUGGET_START, SMOOTHNESS, THETA_BOUNDS, FitError,
+                       MeanBank, build_gp_model, fit_gp, minimize, predict_batch, _corr,
+                       _factor, _nll_log10, _NLL_BAD, _powered, _profile, _profile_nll,
                        _Workspace)
 from dyncal.simulators import get_simulator
 from dyncal.designs import maximin_lhd
@@ -39,74 +40,69 @@ def dense_oracle(X, y, theta, p, x_star):
     return mean, s2
 
 
-def fixed_theta_model(X, y, theta, p=1.95, nugget=0.0):
-    """Build a model at fixed correlation parameters, skipping optimization."""
-    return build_gp_model(X, y, CorrelationSpec(theta, p), nugget)
-
-
-def cross_correlations(spec, A, B):
+def cross_correlations(theta, A, B):
     """Correlations between every row of A and of B, through the kernel helpers."""
-    powered = _powered(A, B, spec.p)
+    powered = _powered(A, B)
     n_a, n_b, d = powered.shape
-    return _corr(powered.reshape(n_a * n_b, d), spec.theta).reshape(n_a, n_b)
+    return _corr(powered.reshape(n_a * n_b, d), theta).reshape(n_a, n_b)
 
 
-def correlation(spec, x_i, x_j):
+def correlation(theta, x_i, x_j):
     """Correlation between the process at two points, through the kernel helpers."""
-    return float(cross_correlations(spec, np.atleast_2d(x_i), np.atleast_2d(x_j))[0, 0])
+    return float(cross_correlations(theta, np.atleast_2d(x_i), np.atleast_2d(x_j))[0, 0])
 
 
-def correlation_matrix(spec, X):
-    return cross_correlations(spec, X, X)
+def correlation_matrix(theta, X):
+    return cross_correlations(theta, X, X)
 
 
 def test_correlation_zero_distance_is_one():
-    spec = CorrelationSpec(theta=np.array([1.0, 3.0]))
+    theta = np.array([1.0, 3.0])
     x = np.array([0.3, 0.7])
-    assert correlation(spec, x, x) == 1.0
+    assert correlation(theta, x, x) == 1.0
 
 
 def test_correlation_symmetric_and_value():
-    spec = CorrelationSpec(theta=np.array([2.0]), p=1.95)
+    assert SMOOTHNESS == 1.95
+    theta = np.array([2.0])
     a, b = np.array([0.1]), np.array([0.6])
     expected = math.exp(-2.0 * 0.5 ** 1.95)
-    assert correlation(spec, a, b) == pytest.approx(expected, rel=1e-14)
-    assert correlation(spec, a, b) == correlation(spec, b, a)
+    assert correlation(theta, a, b) == pytest.approx(expected, rel=1e-14)
+    assert correlation(theta, a, b) == correlation(theta, b, a)
     assert expected == pytest.approx(0.5959, abs=5e-5)
 
 
 def test_correlation_zero_theta_constant():
-    spec = CorrelationSpec(theta=np.zeros(3))
+    theta = np.zeros(3)
     rng = np.random.default_rng(0)
     for _ in range(5):
         x, y = rng.uniform(size=3), rng.uniform(size=3)
-        assert correlation(spec, x, y) == 1.0
+        assert correlation(theta, x, y) == 1.0
 
 
 def test_corr_matches_pairwise_loop():
     rng = np.random.default_rng(3)
     A, B = rng.uniform(size=(7, 3)), rng.uniform(size=(11, 3))
     theta = np.array([0.5, 4.0, 20.0])
-    got = cross_correlations(CorrelationSpec(theta, 1.7), A, B)
+    got = cross_correlations(theta, A, B)
     assert got.shape == (7, 11)
     for i in range(7):
         for j in range(11):
-            want = math.exp(-np.sum(theta * np.abs(A[i] - B[j]) ** 1.7))
+            want = math.exp(-np.sum(theta * np.abs(A[i] - B[j]) ** 1.95))
             assert got[i, j] == pytest.approx(want, rel=1e-14)
 
 
-def test_correlation_spec_validation():
-    with pytest.raises(ValueError):
-        CorrelationSpec(theta=np.array([-1.0]))
-    with pytest.raises(ValueError):
-        CorrelationSpec(theta=np.array([1.0]), p=2.5)
+def test_build_gp_model_rejects_negative_theta():
+    X, y = np.array([[0.2], [0.9]]), np.array([1.0, 3.0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        build_gp_model(X, y, np.array([-1.0]), 0.0)
 
 
 def test_two_point_hand_oracle():
     X = np.array([[0.2], [0.9]])
     y = np.array([1.0, 3.0])
     theta = np.array([1.5])
-    model = fixed_theta_model(X, y, theta)
+    model = build_gp_model(X, y, theta, 0.0)
     for xs in (0.2, 0.5, 0.75, 0.9):
         (mean,), (s2,) = predict_batch(model, [xs])
         om, os2 = dense_oracle(X, y, theta, 1.95, np.array([xs]))
@@ -119,7 +115,7 @@ def test_five_point_dense_solve_oracle():
     X = np.sort(rng.uniform(size=5)).reshape(-1, 1)
     y = np.sin(3 * X[:, 0]) + 0.5 * X[:, 0]
     theta = np.array([4.0])
-    model = fixed_theta_model(X, y, theta)
+    model = build_gp_model(X, y, theta, 0.0)
     for xs in rng.uniform(size=10):
         (mean,), (s2,) = predict_batch(model, [xs])
         om, os2 = dense_oracle(X, y, theta, 1.95, np.array([xs]))
@@ -144,7 +140,7 @@ def test_prior_reversion_far_from_data():
     X = np.array([[0.5, 0.5]])
     X = np.vstack([X, [[0.51, 0.5]]])
     y = np.array([1.0, 1.2])
-    model = fixed_theta_model(X, y, np.array([100.0, 100.0]), nugget=1e-10)
+    model = build_gp_model(X, y, np.array([100.0, 100.0]), nugget=1e-10)
     (mean,), (s2,) = predict_batch(model, [0.0, 0.0])
     assert mean == pytest.approx(model.mu_hat, rel=1e-6)
     assert s2 == pytest.approx(model.sigma2_hat, rel=1e-4)
@@ -163,7 +159,6 @@ def test_constant_response_degenerate_model():
 
 
 def test_inexact_constant_response_is_degenerate_without_optimizing(monkeypatch):
-    import dyncal.gp as gp
     calls = []
     real = gp._profile_nll
     monkeypatch.setattr(gp, "_profile_nll", lambda *a: calls.append(1) or real(*a))
@@ -181,7 +176,7 @@ def test_inexact_constant_response_is_degenerate_without_optimizing(monkeypatch)
     monkeypatch.setattr(gp, "_nll_log10",
                         lambda lt, *a: points.append(lt.copy()) or real_objective(lt, *a))
     fit_gp(X, np.sin(4 * X[:, 0]))
-    lo, hi = np.log10(FitConfig().theta_bounds)
+    lo, hi = np.log10(THETA_BOUNDS)
     in_box = sum(bool(np.all((lt >= lo) & (lt <= hi))) for lt in points)
     assert 0 < in_box < len(points)
     assert len(calls) == in_box
@@ -197,12 +192,11 @@ def test_fit_rejects_bad_inputs():
 
 
 def test_fit_error_when_nugget_cannot_save():
-    # duplicated rows make R exactly singular; a zero nugget cap forces failure
+    # duplicated rows make R exactly singular, and a zero nugget cannot save it
     X = np.array([[0.3, 0.3], [0.3, 0.3], [0.7, 0.1]])
     y = np.array([1.0, 2.0, 3.0])
-    cfg = FitConfig(nugget_start=0.0, nugget_cap=0.0)
     with pytest.raises(FitError):
-        fit_gp(X, y, cfg)
+        build_gp_model(X, y, np.ones(2), 0.0)
 
 
 def test_permutation_invariance_fixed_theta():
@@ -211,9 +205,9 @@ def test_permutation_invariance_fixed_theta():
     y = np.sin(4 * X[:, 0]) + X[:, 1] ** 2
     theta = np.array([3.0, 1.0])
     probe = random_lhd(6, 2, seed=6)
-    base = predict_batch(fixed_theta_model(X, y, theta, nugget=1e-9), probe)
+    base = predict_batch(build_gp_model(X, y, theta, nugget=1e-9), probe)
     perm = rng.permutation(8)
-    shuffled = predict_batch(fixed_theta_model(X[perm], y[perm], theta, nugget=1e-9), probe)
+    shuffled = predict_batch(build_gp_model(X[perm], y[perm], theta, nugget=1e-9), probe)
     assert np.allclose(base[0], shuffled[0], rtol=1e-9, atol=1e-12)
     assert np.allclose(base[1], shuffled[1], rtol=1e-7, atol=1e-12)
 
@@ -221,16 +215,15 @@ def test_permutation_invariance_fixed_theta():
 def test_multistart_dominance():
     X = random_lhd(10, 2, seed=8)
     y = np.cos(5 * X[:, 0]) * X[:, 1]
-    cfg = FitConfig()
-    model = fit_gp(X, y, cfg)
+    model = fit_gp(X, y)
 
     y_std = (y - y.mean()) / y.std()
-    ws = _Workspace(_powered(X, X, cfg.p), y_std)
-    final = _profile_nll(model.spec.theta, ws, cfg)
-    lo, hi = np.log10(cfg.theta_bounds[0]), np.log10(cfg.theta_bounds[1])
-    starts = lo + (hi - lo) * random_lhd(cfg.n_starts, 2, seed=cfg.seed)
+    ws = _Workspace(_powered(X, X), y_std)
+    final = _profile_nll(model.theta, ws)
+    lo, hi = np.log10(THETA_BOUNDS)
+    starts = lo + (hi - lo) * random_lhd(gp.N_STARTS, 2, seed=gp.START_SEED)
     for s in starts:
-        assert final <= _profile_nll(10.0 ** s, ws, cfg) + 1e-9
+        assert final <= _profile_nll(10.0 ** s, ws) + 1e-9
 
 
 def test_mean_bank_matches_per_model_predictions():
@@ -250,8 +243,8 @@ def test_mean_bank_extraction_grid_peak_memory():
     # the extraction grid at n=120, d=5 with 24 models, as in a bliznyuk run
     X = random_lhd(120, 5, seed=0)
     rng = np.random.default_rng(0)
-    models = [fixed_theta_model(X, rng.normal(size=120), 10 ** rng.uniform(-1, 1, 5),
-                                nugget=1e-6) for _ in range(24)]
+    models = [build_gp_model(X, rng.normal(size=120), 10 ** rng.uniform(-1, 1, 5),
+                             nugget=1e-6) for _ in range(24)]
     grid = np.vstack([random_lhd(10_000, 5, seed=1), X])
     bank = MeanBank(models)
     tracemalloc.start()
@@ -266,8 +259,8 @@ def test_mean_bank_extraction_grid_peak_memory():
 def test_predict_batch_peak_memory():
     # a late easom-hm stage: 215 training points, the 5000-point sweep
     X = random_lhd(215, 2, seed=0)
-    model = fixed_theta_model(X, np.sin(5 * X[:, 0]) + X[:, 1] ** 2, np.array([3.0, 8.0]),
-                              nugget=1e-6)
+    model = build_gp_model(X, np.sin(5 * X[:, 0]) + X[:, 1] ** 2, np.array([3.0, 8.0]),
+                           nugget=1e-6)
     cands = random_lhd(5000, 2, seed=1)
     predict_batch(model, cands[:3])  # binds the LAPACK routines outside the trace
     tracemalloc.start()
@@ -281,30 +274,30 @@ def test_predict_batch_peak_memory():
 
 @settings(max_examples=300, deadline=None)
 @given(n_a=st.integers(1, 12), n_b=st.integers(1, 12), d=st.integers(1, 5),
-       p=st.sampled_from([0.5, 1, 1.0, 1.95, 2, 2.0]), seed=st.integers(0, 2**31))
-@example(n_a=1, n_b=1, d=1, p=2.0, seed=0)
-@example(n_a=1, n_b=7, d=5, p=0.5, seed=1)
-@example(n_a=7, n_b=1, d=3, p=1, seed=2)
-def test_powered_bit_equal_to_broadcast_reference(n_a, n_b, d, p, seed):
+       seed=st.integers(0, 2**31))
+@example(n_a=1, n_b=1, d=1, seed=0)
+@example(n_a=1, n_b=7, d=5, seed=1)
+@example(n_a=7, n_b=1, d=3, seed=2)
+def test_powered_bit_equal_to_broadcast_reference(n_a, n_b, d, seed):
     rng = np.random.default_rng(seed)
     A = rng.uniform(size=(n_a, d))
     B = rng.uniform(-0.5, 1.5, size=(n_b, d))
     B[0, :] = A[-1, :]  # a zero distance in every coordinate
-    got = _powered(A, B, p)
+    got = _powered(A, B)
     assert got.shape == (n_a, n_b, d)
     assert got.flags.c_contiguous
-    assert np.array_equal(got, np.abs(A[:, None, :] - B[None, :, :]) ** p)
+    assert np.array_equal(got, np.abs(A[:, None, :] - B[None, :, :]) ** 1.95)
 
 
 def broadcast_predict(model, X_star):
     """BLUP mean and variance written with fresh arrays: broadcast powered
     distances, one flat matrix-vector product, and a triangular solve that
     copies r, squared into a new array."""
-    powered = np.abs(model.X[:, None, :] - X_star[None, :, :]) ** model.spec.p
+    powered = np.abs(model.X[:, None, :] - X_star[None, :, :]) ** SMOOTHNESS
     n, m, d = powered.shape
     if model.degenerate:
         return np.full(m, model.mu_hat), np.zeros(m)
-    r = np.exp(powered.reshape(-1, d) @ -model.spec.theta).reshape(n, m)
+    r = np.exp(powered.reshape(-1, d) @ -model.theta).reshape(n, m)
     means = model.y_mean + model.y_scale * (model.mu_std + r.T @ model.alpha)
     v, _ = dtrtrs(model.chol, r, lower=1)
     quad = np.sum(v * v, axis=0)
@@ -355,8 +348,7 @@ def test_build_at_fitted_spec_reproduces_predictions():
     X = random_lhd(9, 3, seed=9)
     y = X @ np.array([1.0, -2.0, 0.5]) + np.sin(6 * X[:, 0])
     model = fit_gp(X, y)
-    clone = build_gp_model(X, y, CorrelationSpec(model.spec.theta.copy(), model.spec.p),
-                           model.nugget)
+    clone = build_gp_model(X, y, model.theta.copy(), model.nugget)
     probe = random_lhd(7, 3, seed=10)
     m0, s0 = predict_batch(model, probe)
     m1, s1 = predict_batch(clone, probe)
@@ -379,23 +371,22 @@ def dense_profile(R, y):
 
 @pytest.mark.parametrize("n,d", [(8, 1), (30, 2), (60, 5)])
 def test_profile_matches_dense_inverse_oracle(n, d):
-    cfg = FitConfig()
     X = random_lhd(n, d, seed=n)
     y = np.sin(4 * X[:, 0]) + X[:, -1] ** 2
     y_std = (y - y.mean()) / y.std()
     theta = np.full(d, 10.0)
-    R = correlation_matrix(CorrelationSpec(theta, cfg.p), X)
+    R = correlation_matrix(theta, X)
     want_mu, want_s2, want_logdet, want_nll = dense_profile(
-        R + cfg.nugget_start * np.eye(n), y_std)
+        R + NUGGET_START * np.eye(n), y_std)
 
-    ws = _Workspace(_powered(X, X, cfg.p), y_std)
-    L, nugget = _factor(ws, theta, cfg.nugget_start, cfg.nugget_cap)
-    assert nugget == cfg.nugget_start
+    ws = _Workspace(_powered(X, X), y_std)
+    L, nugget = _factor(ws, theta, NUGGET_START, NUGGET_CAP)
+    assert nugget == NUGGET_START
     mu, sigma2, logdet, _ = _profile(L, ws.rhs)
     assert mu == pytest.approx(want_mu, rel=1e-10)
     assert sigma2 == pytest.approx(want_s2, rel=1e-10)
     assert logdet == pytest.approx(want_logdet, rel=1e-10)
-    nll = _profile_nll(theta, ws, cfg)
+    nll = _profile_nll(theta, ws)
     assert nll == pytest.approx(want_nll, rel=1e-10)
 
 
@@ -422,9 +413,9 @@ def _near_duplicate_design():
 def test_factor_escalates_nugget_on_near_duplicate_design():
     X = _near_duplicate_design()
     theta = np.ones(2)
-    R = correlation_matrix(CorrelationSpec(theta), X)
+    R = correlation_matrix(theta, X)
     start, cap = 1e-20, 1e-4
-    ws = _Workspace(_powered(X, X, DEFAULT_P), np.zeros(len(X)))
+    ws = _Workspace(_powered(X, X), np.zeros(len(X)))
 
     want = _escalate_reference(R, start, cap)
     assert want is not None and want > start
@@ -441,34 +432,36 @@ def test_factor_escalates_nugget_on_near_duplicate_design():
 def test_build_alpha_solves_nugget_system():
     X = random_lhd(30, 2, seed=4)
     y = np.cos(3 * X[:, 0]) * X[:, 1] + X[:, 0]
-    spec = CorrelationSpec(np.array([3.0, 5.0]))
+    theta = np.array([3.0, 5.0])
     nugget = 1e-8
-    model = build_gp_model(X, y, spec, nugget)
+    model = build_gp_model(X, y, theta, nugget)
     y_std = (y - model.y_mean) / model.y_scale
-    A = correlation_matrix(spec, X) + nugget * np.eye(len(y))
+    A = correlation_matrix(theta, X) + nugget * np.eye(len(y))
     rhs = y_std - model.mu_std
     assert np.linalg.norm(A @ model.alpha - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
-def _reference_nll_log10(log_theta, powered, y_std, cfg):
+def _reference_nll_log10(log_theta, powered, y_std):
     """The fitting objective written out with fresh arrays for every evaluation:
-    a new R, a cleaned potrf factor, a new [y, 1] right-hand side."""
-    lo, hi = np.log10(cfg.theta_bounds[0]), np.log10(cfg.theta_bounds[1])
+    a new R, a cleaned potrf factor, a new [y, 1] right-hand side. The box
+    and the nugget rule are read from dyncal.gp at the call, as the objective
+    reads them."""
+    lo, hi = np.log10(THETA_BOUNDS)
     if np.any(log_theta < lo) or np.any(log_theta > hi):
         return _NLL_BAD
     theta = 10.0 ** log_theta
     n, _, d = powered.shape
     R = np.exp(-(powered.reshape(-1, d) @ theta)).reshape(n, n)
     base = R.diagonal().copy()
-    nugget = cfg.nugget_start
+    nugget = gp.NUGGET_START
     while True:
         R.flat[::n + 1] = base + nugget
         L, info = dpotrf(R, lower=1)
         if info == 0:
             break
-        if nugget >= cfg.nugget_cap:
+        if nugget >= gp.NUGGET_CAP:
             return _NLL_BAD
-        nugget = min(nugget * 10.0, cfg.nugget_cap)
+        nugget = min(nugget * 10.0, gp.NUGGET_CAP)
     rhs = np.empty((n, 2), order="F")
     rhs[:, 0] = y_std
     rhs[:, 1] = 1.0
@@ -483,76 +476,83 @@ def _reference_nll_log10(log_theta, powered, y_std, cfg):
     return n * np.log(sigma2) + logdet
 
 
-def _box_points(d, cfg, seed):
+def _box_points(d, seed):
     """log10 theta at 12 random points of the fitting box, its two corners on
     the diagonal, then two points just outside it."""
-    lo, hi = np.log10(cfg.theta_bounds[0]), np.log10(cfg.theta_bounds[1])
+    lo, hi = np.log10(THETA_BOUNDS)
     points = list(lo + (hi - lo) * np.random.default_rng(seed).uniform(size=(12, d)))
     return points + [np.full(d, v) for v in (lo, hi, lo - 1e-9, hi + 0.5)]
 
 
-def _objective_cases(X, cfg):
+def _objective_cases(X):
     """(objective, reference) at every box point, all on one workspace."""
     y = np.sin(4 * X[:, 0]) + X[:, -1] ** 2
     y_std = (y - y.mean()) / y.std()
-    powered = _powered(X, X, cfg.p)
+    powered = _powered(X, X)
     ws = _Workspace(powered, y_std)
-    lo, hi = np.log10(cfg.theta_bounds[0]), np.log10(cfg.theta_bounds[1])
-    return [(_nll_log10(lt, ws, float(lo), float(hi), cfg),
-             _reference_nll_log10(lt, powered, y_std, cfg))
-            for lt in _box_points(X.shape[1], cfg, len(X))]
+    lo, hi = np.log10(THETA_BOUNDS)
+    return [(_nll_log10(lt, ws, float(lo), float(hi)),
+             _reference_nll_log10(lt, powered, y_std))
+            for lt in _box_points(X.shape[1], len(X))]
+
+
+def _set_nugget_rule(monkeypatch, start, cap=NUGGET_CAP):
+    """Patch the nugget escalation's start and cap, so that the objective and
+    the fit escalate on designs that the fixed 1e-8 start would factor at once."""
+    monkeypatch.setattr(gp, "NUGGET_START", start)
+    monkeypatch.setattr(gp, "NUGGET_CAP", cap)
 
 
 @pytest.mark.parametrize("n,d", [(8, 1), (30, 2), (60, 5)])
 def test_objective_bit_equal_to_fresh_array_reference(n, d):
-    cases = _objective_cases(random_lhd(n, d, seed=n), FitConfig())
+    cases = _objective_cases(random_lhd(n, d, seed=n))
     assert all(got == want for got, want in cases)
     assert [want for _, want in cases[-2:]] == [_NLL_BAD, _NLL_BAD]  # outside the box
     assert all(want != _NLL_BAD for _, want in cases[:-2])
 
 
-def test_objective_bit_equal_to_reference_when_nugget_escalates():
+def test_objective_bit_equal_to_reference_when_nugget_escalates(monkeypatch):
     X = _near_duplicate_design()
-    cfg = FitConfig(nugget_start=1e-20)
-    cases = _objective_cases(X, cfg)
+    _set_nugget_rule(monkeypatch, 1e-20)
+    cases = _objective_cases(X)
     assert all(got == want for got, want in cases)
     # the nugget escalates at some of the points, and a low cap makes those fail
-    ws = _Workspace(_powered(X, X, cfg.p), np.zeros(len(X)))
-    nuggets = [_factor(ws, 10.0 ** lt, cfg.nugget_start, cfg.nugget_cap)[1]
-               for lt in _box_points(2, cfg, len(X))[:-2]]
-    assert any(v > cfg.nugget_start for v in nuggets)
-    assert any(v == cfg.nugget_start for v in nuggets)
-    capped = FitConfig(nugget_start=1e-20, nugget_cap=1e-18)
-    cases = _objective_cases(X, capped)
+    ws = _Workspace(_powered(X, X), np.zeros(len(X)))
+    nuggets = [_factor(ws, 10.0 ** lt, 1e-20, NUGGET_CAP)[1]
+               for lt in _box_points(2, len(X))[:-2]]
+    assert any(v > 1e-20 for v in nuggets)
+    assert any(v == 1e-20 for v in nuggets)
+    _set_nugget_rule(monkeypatch, 1e-20, 1e-18)
+    cases = _objective_cases(X)
     assert all(got == want for got, want in cases)
     assert any(want == _NLL_BAD for _, want in cases[:-2])
 
 
-def test_objective_bit_equal_to_reference_over_many_escalation_steps():
+def test_objective_bit_equal_to_reference_over_many_escalation_steps(monkeypatch):
     # powered distances (d = 1) whose correlations at theta = 1 form a 3 x 3
     # matrix with smallest eigenvalue -3.8e-11: potrf needs a nugget of 1e-10
     a = 0.9
     b = 2 * a * a - 1 - 1e-10  # [[1, a, b], [a, 1, a], [b, a, 1]] is singular at 2a^2 - 1
     powered = -np.log(np.array([[1, a, b], [a, 1, a], [b, a, 1]]))[:, :, None]
     y_std = np.array([0.3, -1.0, 0.7])
-    cfg = FitConfig(nugget_start=1e-16, nugget_cap=1e-6)
+    _set_nugget_rule(monkeypatch, 1e-16, 1e-6)
     ws = _Workspace(powered, y_std)
-    assert _factor(ws, np.ones(1), cfg.nugget_start, cfg.nugget_cap)[1] > 1e-11
-    lo, hi = np.log10(cfg.theta_bounds[0]), np.log10(cfg.theta_bounds[1])
+    assert _factor(ws, np.ones(1), 1e-16, 1e-6)[1] > 1e-11
+    lo, hi = np.log10(THETA_BOUNDS)
     for lt in (0.0, -1e-3, 1e-3):  # escalates 6 times; fails at the cap; no escalation
         lt = np.array([lt])
-        want = _reference_nll_log10(lt, powered, y_std, cfg)
-        assert _nll_log10(lt, ws, float(lo), float(hi), cfg) == want
+        want = _reference_nll_log10(lt, powered, y_std)
+        assert _nll_log10(lt, ws, float(lo), float(hi)) == want
         assert (want == _NLL_BAD) == (lt[0] < 0)
 
 
-def _reference_model_parts(X, y, theta, p, start, cap):
+def _reference_model_parts(X, y, theta, start, cap):
     """(nugget, chol, alpha, mu_std, sigma2_std) written with fresh arrays:
     R = exp(-(powered @ theta)) in C order, the nugget added to a copy of its
     diagonal, a copying and cleaning potrf, keyword f2py arguments."""
     n, d = X.shape
     y_std = (y - np.mean(y)) / np.std(y)
-    R = np.exp(-(_powered(X, X, p).reshape(-1, d) @ theta)).reshape(n, n)
+    R = np.exp(-(_powered(X, X).reshape(-1, d) @ theta)).reshape(n, n)
     base = R.diagonal().copy()
     nugget = start
     while True:
@@ -573,28 +573,28 @@ def _reference_model_parts(X, y, theta, p, start, cap):
     return nugget, L, alpha, mu, (w @ w) / n
 
 
-def test_fit_bit_equal_to_reference_with_a_duplicated_row():
+def test_fit_bit_equal_to_reference_with_a_duplicated_row(monkeypatch):
     # exactly repeated training rows make R singular until 1 + nugget > 1,
     # so the nugget escalates from 1e-20 both in the fit and in its objective
     X = random_lhd(14, 2, seed=0)
     X = np.vstack([X, X[[0, 3]]])
     y = np.sin(5 * X[:, 0]) + X[:, 1]
-    cfg = FitConfig(nugget_start=1e-20)
-    cases = _objective_cases(X, cfg)
+    _set_nugget_rule(monkeypatch, 1e-20)
+    cases = _objective_cases(X)
     assert all(got == want for got, want in cases)
     assert all(want != _NLL_BAD for _, want in cases[:-2])
 
-    model = fit_gp(X, y, cfg)
+    model = fit_gp(X, y)
     nugget, L, alpha, mu_std, sigma2_std = _reference_model_parts(
-        X, y, model.spec.theta, cfg.p, cfg.nugget_start, cfg.nugget_cap)
-    assert nugget > cfg.nugget_start
+        X, y, model.theta, 1e-20, NUGGET_CAP)
+    assert nugget > 1e-20
     assert model.nugget == nugget
     assert np.array_equal(model.chol, L)
     assert np.array_equal(model.alpha, alpha)
     assert (model.mu_std, model.sigma2_std) == (mu_std, sigma2_std)
     x_star = random_lhd(50, 2, seed=8)
     means, _ = predict_batch(model, x_star)
-    r = np.exp(-(_powered(X, x_star, cfg.p).reshape(-1, 2) @ model.spec.theta))
+    r = np.exp(-(_powered(X, x_star).reshape(-1, 2) @ model.theta))
     r = r.reshape(len(X), -1)
     assert np.array_equal(means, model.y_mean + model.y_scale * (mu_std + r.T @ alpha))
 
@@ -625,12 +625,11 @@ def test_nelder_mead_bit_equal_to_scipy(d, seed, zero_mask, objective, polish, m
     budget runs out mid-step and when vertex values tie (plateaus)."""
     rng = np.random.default_rng(seed)
     if objective == "nll":  # the fitting objective, starts inside and outside its box
-        cfg = FitConfig()
         n = int(rng.integers(8, 41))
         X = random_lhd(n, d, rng)
         y = np.sin(X @ rng.normal(size=d) * 3.0) + 0.1 * rng.normal(size=n)
-        ws = _Workspace(_powered(X, X, cfg.p), (y - y.mean()) / y.std())
-        fun, args = _nll_log10, (ws, -2.0, 2.0, cfg)
+        ws = _Workspace(_powered(X, X), (y - y.mean()) / y.std())
+        fun, args = _nll_log10, (ws, -2.0, 2.0)
         x0 = rng.uniform(-2.5, 2.5, d)
     else:
         fun, args = {"quadratic": _quadratic, "bumpy": _bumpy, "boxed": _boxed}[objective], \

@@ -98,8 +98,6 @@ def test_call_counting_and_peek():
     assert sim.calls == 2
     sim.peek([0.1, 0.1])
     assert sim.calls == 2
-    sim.reset_counter()
-    assert sim.calls == 0
 
 
 def test_unknown_simulator_name():
@@ -189,6 +187,20 @@ def test_external_non_numeric_value(tmp_path):
     """)
     sim = ExternalSimulator(_tiny_spec(), [exe], tmp_path / "xchg")
     with pytest.raises(ProtocolError, match="row 3"):
+        sim.run([0.5, 0.5])
+
+
+@pytest.mark.parametrize("body", [
+    b"t,value\n1,\xff\n",  # not UTF-8
+    b"t,value\n1," + b"9" * 200_000 + b"\n",  # a field over the csv module's limit
+], ids=["undecodable", "oversized-field"])
+def test_external_unreadable_output_is_protocol_error(tmp_path, body):
+    exe = _write_executable(tmp_path / "sim.py", f"""
+        with open("output.csv", "wb") as fh:
+            fh.write({body!r})
+    """)
+    sim = ExternalSimulator(_tiny_spec(), [exe], tmp_path / "xchg")
+    with pytest.raises(ProtocolError):
         sim.run([0.5, 0.5])
 
 
