@@ -5,9 +5,9 @@ target series:
 
 * msce_run: builds a discretization-point-set from the target, then solves one
   scalar contour-estimation problem per DPS index with a shared, growing
-  training set, spending the simulator budget exactly. The solution is read
-  off the refit surrogates as the best point of the intersection of per-index
-  tolerance bands.
+  training set. The best point of the intersection of the refit surrogates'
+  tolerance bands starts a Levenberg-Marquardt polish on the real simulator,
+  whose best run is the answer; the budget is spent exactly.
 * hm_run: the multi-stage history-matching baseline, augmenting every
   sufficiently plausible test point per stage until nothing plausible is left
   or the stage limit is hit.
@@ -27,7 +27,7 @@ import numpy as np
 
 from .acquisition import ContourTarget, expected_improvement, implausibility_max
 from .designs import maximin_lhd, maxpro_lhd, random_lhd
-from .gp import GpModel, MeanBank, fit_gp, minimize, predict_batch
+from .gp import GpModel, MeanBank, fit_gp, predict_batch
 from .metrics import ConstantTargetError, evaluate_all
 from .simulators import Simulator
 from .spline_dps import K_MAX_DEFAULT, DpsResult, TargetSeries, build_dps
@@ -107,7 +107,7 @@ class CalibrationResult:
     run_log: list
     flags: dict
     budget_used: int
-    origins: list  # per training row: 0 = initial design, else problem/stage
+    origins: list  # per training row: 0 = initial design, else problem (k + 1: polish)/stage
     response_at_opt: np.ndarray
     target: np.ndarray
     trace_columns: tuple  # run_log keys written to trace.csv, before x1..xd
@@ -183,57 +183,22 @@ def solve_scalar_contour(simulator: Simulator, t_star: int, a: float,
     return X, Y
 
 
-def _polish(func, x0, maxfev):
-    """Box-constrained Nelder-Mead descent; never returns a worse point."""
-    d = len(x0)
-
-    def penalized(x):
-        if np.any(x < 0.0) or np.any(x > 1.0):
-            return 1e30
-        return func(x)
-
-    res = minimize(penalized, x0, maxfev=maxfev * d, xatol=1e-10, fatol=0.0)
-    x = np.clip(res.x, 0.0, 1.0)
-    return x if func(x) <= func(x0) else np.asarray(x0, dtype=float)
-
-
-FILL_INDEX_COUNT = 24  # series indices backing the full-norm emulator
-
-
-def _fill_indices(L: int, count: int = FILL_INDEX_COUNT):
-    """Evenly spaced series indices (1-based); coinciding with DPS indices is harmless."""
-    fill = {int(round((j + 0.5) * L / count)) for j in range(count)}
-    fill = {min(max(t, 1), L) for t in fill}
-    return sorted(fill)
-
-
-def extract_solution(models: list[GpModel], targets: list[float],
-                     config: MsceConfig, training_responses=None,
-                     target_values=None):
+def extract_solution(models: list[GpModel], targets: list[float], config: MsceConfig):
     """Read the inverse solution off the refit per-DPS surrogates.
 
     Evaluates every surrogate over a fresh space-filling grid plus the
     training inputs; keeps the points within epsilon of every target
     (escalating epsilon tenfold, at most six times, if the intersection is
-    empty). The banded grid minimizer then seeds a continuous descent of the
-    surrogate score. When the DPS constraints cannot pin a unique point
-    (fewer indices than input dimensions) and the training series are
-    available, the point is instead chosen by descending an emulated
-    full-series discrepancy inside the tolerance bands: per-index surrogates
-    at evenly spaced fill-in times, fitted from the stored series at no
-    simulator cost, stand in for the true norm. Falls back to the minimax
-    point, flagged, if even the loosest band is empty.
+    empty) and returns the one of least squared deviation from the targets.
+    Falls back to the minimax point, flagged, if even the loosest band is
+    empty. Returns (x, per-surrogate solution sets, flags).
     """
     d = models[0].d
     grid = np.vstack([
         random_lhd(config.grid_size, d, np.random.default_rng([config.seed, 2])),
         models[0].X,
     ])
-    bank = MeanBank(models)
-    preds = bank.means(grid).T  # (k, m)
-    targets_arr = np.asarray(targets, dtype=float)
-    dev = np.abs(preds - targets_arr[:, None])
-    grid_score = np.sum((preds - targets_arr[:, None]) ** 2, axis=0)
+    dev = np.abs(MeanBank(models).means(grid).T - np.asarray(targets)[:, None])  # (k, m)
 
     for attempt in range(7):
         eps = config.epsilon * 10.0 ** attempt
@@ -243,48 +208,75 @@ def extract_solution(models: list[GpModel], targets: list[float],
     fallback = not np.any(inside)
     flags = {"fallback": fallback, "epsilon_used": eps, "escalations": attempt}
     solution_sets = [grid[dev[i] < eps] for i in range(len(models))]
-    if fallback:
-        return grid[int(np.argmin(np.max(dev, axis=0)))], solution_sets, flags
+    score = (np.max(dev, axis=0) if fallback
+             else np.where(inside, np.sum(dev ** 2, axis=0), np.inf))
+    return grid[int(np.argmin(score))], solution_sets, flags
 
-    x_band = grid[int(np.argmin(np.where(inside, grid_score, np.inf)))]
 
-    def score(x):
-        mu = bank.means(x)[0]
-        return float(np.sum((mu - targets_arr) ** 2))
+def polish(simulator: Simulator, g0: np.ndarray, x0: np.ndarray, X: np.ndarray,
+           Y: np.ndarray, runs: int, run_log: list, problem: int):
+    """Spend exactly `runs` runs on a Levenberg-Marquardt descent of the real
+    misfit sum((g(x) - g0)^2) from x0 in [0, 1]^d. Returns (X, Y, the row of
+    the incumbent: the polish point of least misfit). A polish point that
+    repeats a training input (x0, say) reuses its stored series. Forward
+    differences (step h = 0.01, inward at the upper bound) at the incumbent
+    give J; each step, damped by lam * diag(J'J) (floored for zero columns;
+    lam from 1e-3, /3 on a lower misfit, *4 otherwise) and clipped to the
+    box, costs a run and updates J by Broyden's rule. A step that repeats a training input is not
+    run: the differences are taken afresh with h halved. Runs are logged
+    with t_star 0 and no surrogate values."""
+    d = X.shape[1]
+    n_before = len(X)
+    rows, misfits = [], []  # the polish points as rows of X, and their real misfits
 
-    x_opt = _polish(score, x_band, maxfev=400)
+    def evaluate(x):
+        nonlocal X, Y
+        dist = np.linalg.norm(X - x, axis=1)
+        row = int(np.argmin(dist))
+        if dist[row] >= DUPLICATE_TOL:
+            row = len(X)
+            X = np.vstack([X, x])
+            Y = np.vstack([Y, simulator.run(x)])
+            run_log.append({"iteration": len(X), "problem": problem, "t_star": 0,
+                            "ei": np.nan, "pred_mean": np.nan, "pred_sd": np.nan,
+                            "x": [float(v) for v in x]})
+        rows.append(row)
+        misfits.append(float(np.sum((Y[row] - g0) ** 2)))
 
-    k = len(models)
-    if k < d and training_responses is not None and target_values is not None:
-        Y = np.asarray(training_responses, dtype=float)
-        g0 = np.asarray(target_values, dtype=float)
-        X_train = models[0].X
-        fill = _fill_indices(Y.shape[1])
-        fill_bank = MeanBank([fit_gp(X_train, Y[:, t - 1]) for t in fill])
-        fill_targets = np.array([g0[t - 1] for t in fill])
+    def incumbent():
+        return rows[int(np.argmin(misfits))]
 
-        def sig(x):
-            mu = fill_bank.means(x)[0]
-            return float(np.sum((mu - fill_targets) ** 2))
+    def difference_jacobian(h):
+        b = incumbent()
+        for j in range(d):
+            if len(X) - n_before == runs:
+                return
+            x = X[b].copy()
+            x[j] += h if x[j] + h <= 1.0 else -h
+            evaluate(x)
+            J[:, j] = (Y[rows[-1]] - Y[b]) / (x[j] - X[b, j])
 
-        def banded_sig(x):
-            mu = bank.means(x)[0]
-            viol = np.sum(np.maximum(np.abs(mu - targets_arr) - eps, 0.0)) / eps
-            return sig(x) + 1e9 * viol
-
-        def in_band(x):
-            mu = bank.means(x)[0]
-            return bool(np.all(np.abs(mu - targets_arr) <= eps * 1.0001))
-
-        sig_grid = np.sum((fill_bank.means(grid) - fill_targets) ** 2, axis=1)
-        x_sig = grid[int(np.argmin(np.where(inside, sig_grid, np.inf)))]
-        cands = [_polish(banded_sig, x_sig, maxfev=400),
-                 _polish(banded_sig, x_band, maxfev=400)]
-        feasible = [x for x in cands if in_band(x)]
-        if feasible:
-            x_opt = min(feasible, key=sig)
-
-    return x_opt, solution_sets, flags
+    evaluate(np.asarray(x0, dtype=float))
+    J = np.empty((Y.shape[1], d))
+    h, lam = 0.01, 1e-3
+    difference_jacobian(h)
+    while len(X) - n_before < runs:
+        b, f_b = incumbent(), min(misfits)
+        JtJ = J.T @ J
+        scale = np.maximum(np.diag(JtJ), 1e-12 * np.max(np.diag(JtJ)) + 1e-300)
+        delta = np.linalg.solve(JtJ + lam * np.diag(scale), J.T @ (g0 - Y[b]))
+        x = np.clip(X[b] + delta, 0.0, 1.0)
+        if _is_duplicate(x, X):
+            h /= 2.0
+            if h < 1e-9:
+                raise RuntimeError("polish steps and probes all repeat training inputs")
+            difference_jacobian(h)
+            continue
+        evaluate(x)
+        s = X[-1] - X[b]
+        J += np.outer(Y[-1] - Y[b] - J @ s, s) / (s @ s)
+        lam = lam / 3.0 if misfits[-1] < f_b else lam * 4.0
+    return X, Y, incumbent()
 
 
 def checked_target(target, simulator: Simulator) -> TargetSeries:
@@ -302,9 +294,11 @@ def checked_target(target, simulator: Simulator) -> TargetSeries:
 def msce_run(simulator: Simulator, target, config: MsceConfig) -> CalibrationResult:
     """Calibrate by sequential scalar contour estimation at the DPS indices.
 
-    Spends exactly N simulator runs: n0 on the initial design, the remainder
-    split approximately evenly over the DPS problems (earlier problems take
-    the leftovers, since they double as global exploration).
+    Spends exactly N simulator runs: n0 on the initial design, m on the polish
+    of the extracted answer (flags["polish_runs"]), the rest split evenly over
+    the k DPS problems (earlier problems take the leftovers, since they double
+    as global exploration). The answer is the best polish run; with m = 0 it
+    is the extracted point, whose series is computed off budget.
     """
     series = checked_target(target, simulator)
     d = simulator.spec.d
@@ -318,6 +312,8 @@ def msce_run(simulator: Simulator, target, config: MsceConfig) -> CalibrationRes
     if follow_up < k:
         raise BudgetError(
             f"budget N-n0={follow_up} cannot give each of {k} scalar problems a point")
+    m = min(2 * (d + 1), follow_up - k)  # polish runs: a start, d differences, steps
+    m = m if m >= d + 2 else 0
 
     calls_before = simulator.calls
     run_log: list = []
@@ -326,7 +322,7 @@ def msce_run(simulator: Simulator, target, config: MsceConfig) -> CalibrationRes
     Y = np.vstack([simulator.run(x) for x in X])
     origins = [0] * config.n0
 
-    base, rem = divmod(follow_up, k)
+    base, rem = divmod(follow_up - m, k)
     for j, t_star in enumerate(dps, start=1):
         budget_j = base + (1 if j <= rem else 0)
         a = float(series.values[t_star - 1])
@@ -334,16 +330,19 @@ def msce_run(simulator: Simulator, target, config: MsceConfig) -> CalibrationRes
                                     config, problem_index=j, run_log=run_log)
         origins.extend([j] * budget_j)
 
-    used = simulator.calls - calls_before
-    assert used == config.N, f"budget accounting broken: {used} != {config.N}"
-
     models = [fit_gp(X, Y[:, t - 1]) for t in dps]
     targets = [float(series.values[t - 1]) for t in dps]
-    x_opt, solution_sets, flags = extract_solution(
-        models, targets, config, training_responses=Y,
-        target_values=series.values)
+    x_opt, solution_sets, flags = extract_solution(models, targets, config)
+    flags["polish_runs"] = m
+    if m:
+        X, Y, best = polish(simulator, series.values, x_opt, X, Y, m, run_log, k + 1)
+        origins.extend([k + 1] * m)
+        x_opt, response_at_opt = X[best], Y[best]
+    else:
+        response_at_opt = simulator.peek(x_opt)  # off budget, reporting only
 
-    response_at_opt = simulator.peek(x_opt)  # off budget, reporting only
+    used = simulator.calls - calls_before
+    assert used == config.N, f"budget accounting broken: {used} != {config.N}"
     metrics = evaluate_all(response_at_opt, series.values)
 
     return CalibrationResult(

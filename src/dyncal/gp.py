@@ -50,11 +50,10 @@ would bound the memory: the r' alpha product rounds differently with the
 number of rows, so chunked means differ in their last bits, and the
 answers of a calibration can move on such differences.
 
-The multistart search of `fit_gp` and the polish of solution extraction use
-one Nelder-Mead, `minimize`. It follows scipy's non-adaptive Nelder-Mead step
-for step on Python floats, so its results are bit-equal to scipy's at less
-than half the overhead per evaluation. `fit_gp` calls it through this
-module's global `minimize`, which is where a tracer counts the evaluations.
+`fit_gp` searches with `minimize`, scipy's non-adaptive Nelder-Mead step for
+step on Python floats: bit-equal to scipy's at less than half the overhead
+per evaluation. It calls it through the module global, where a tracer counts
+the evaluations.
 
 The LAPACK routines `dpotrf` and `dtrtrs` come from `scipy.linalg`, which
 takes about a quarter of a second to import. A process that fits no
@@ -507,7 +506,7 @@ class MeanBank:
 
     The powered distances from the shared inputs to a query batch are
     computed once per batch and reused by every model. `means` serves the
-    inner loops of solution extraction, where only posterior means are
+    grid sweep of solution extraction, where only posterior means are
     needed; `predict` adds the variances, for the history-matching sweep and,
     with a single model, for `predict_batch`.
     """

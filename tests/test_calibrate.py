@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_toy_simulator
-from dyncal.calibrate import (BudgetError, MsceConfig, _best_candidate, _is_duplicate,
-                              extract_solution, hm_run, msce_run, resolved_config_dict,
-                              solve_scalar_contour, write_run_artifacts)
+from dyncal.calibrate import (DUPLICATE_TOL, BudgetError, MsceConfig, _best_candidate,
+                              _is_duplicate, extract_solution, hm_run, msce_run, polish,
+                              resolved_config_dict, solve_scalar_contour,
+                              write_run_artifacts)
 from dyncal.designs import maximin_lhd, random_lhd
 from dyncal.gp import fit_gp, predict_batch
+from dyncal.simulators import Simulator, SimulatorSpec, get_simulator, target_series
 from dyncal.spline_dps import TargetSeries, build_dps
 
 
@@ -123,20 +125,40 @@ def test_solve_scalar_contour_budget_and_interpolation():
     assert np.all(s2 >= 0.0)
 
 
+def expected_split(config, k, d=2):
+    """Runs per origin: n0 for the design, the k problems sharing what the
+    polish leaves (earlier problems first), and the polish's m = 2(d + 1),
+    capped so that each problem keeps a run and 0 below d + 2."""
+    follow_up = config.N - config.n0
+    m = min(2 * (d + 1), follow_up - k)
+    m = m if m >= d + 2 else 0
+    base, rem = divmod(follow_up - m, k)
+    return [config.n0] + [base + (1 if j <= rem else 0) for j in range(1, k + 1)] + [m]
+
+
+def check_origins(result, config, d=2):
+    k = len(result.dps.dps)
+    split = expected_split(config, k, d)
+    assert split[-1] > 0  # the small config polishes
+    assert [result.origins.count(j) for j in range(k + 2)] == split
+    assert len(result.origins) == sum(split) == config.N
+    assert result.flags["polish_runs"] == split[-1]
+
+
 def test_msce_budget_exact_and_origins():
     sim = make_toy_simulator()
     target = toy_target(sim)
     config = small_config()
     result = msce_run(sim, target, config)
     assert result.budget_used == config.N
-    assert sim.calls == config.N  # metric peek is off budget
+    assert sim.calls == config.N  # the polish runs are counted, and nothing else runs
     assert result.training_inputs.shape == (config.N, 2)
     assert result.training_responses.shape == (config.N, sim.spec.L)
-    k = len(result.dps.dps)
-    base, rem = divmod(config.N - config.n0, k)
-    assert result.origins.count(0) == config.n0
-    for j in range(1, k + 1):
-        assert result.origins.count(j) == base + (1 if j <= rem else 0)
+    check_origins(result, config)
+    # the answer is a paid run, reported with its stored series
+    best = [i for i, x in enumerate(result.training_inputs) if np.array_equal(x, result.x_opt)]
+    assert len(best) == 1
+    assert np.array_equal(result.response_at_opt, result.training_responses[best[0]])
 
 
 @pytest.mark.parametrize("design", ["maximin", "random"])
@@ -157,13 +179,15 @@ def test_msce_time_order_solves_knots_in_time_order():
     result = msce_run(sim, toy_target(sim), config)
     knots = sorted(result.dps.dps)
     assert knots != result.dps.dps  # the order differs from the selection order
-    for rec in result.run_log:
-        assert rec["t_star"] == knots[rec["problem"] - 1]
     k = len(knots)
-    base, rem = divmod(config.N - config.n0, k)
-    assert result.origins.count(0) == config.n0
-    for j in range(1, k + 1):
-        assert result.origins.count(j) == base + (1 if j <= rem else 0)
+    for rec in result.run_log:
+        if rec["problem"] <= k:
+            assert rec["t_star"] == knots[rec["problem"] - 1]
+        else:  # a polish run: no knot, no surrogate values
+            assert rec["problem"] == k + 1 and rec["t_star"] == 0
+            assert np.isnan([rec["ei"], rec["pred_mean"], rec["pred_sd"]]).all()
+    assert [rec["problem"] for rec in result.run_log] == result.origins[config.n0:]
+    check_origins(result, config)
 
 
 def test_msce_no_duplicate_inputs_and_box():
@@ -266,9 +290,8 @@ def test_extract_fallback_when_targets_unreachable():
 
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(6, 12), d=st.integers(1, 3), k=st.integers(1, 3),
-       seed=st.integers(0, 10_000), reachable=st.booleans(),
-       with_series=st.booleans())
-def test_extract_solution_properties(n, d, k, seed, reachable, with_series):
+       seed=st.integers(0, 10_000), reachable=st.booleans())
+def test_extract_solution_properties(n, d, k, seed, reachable):
     rng = np.random.default_rng(seed)
     X = random_lhd(n, d, rng)
     L = 6
@@ -278,8 +301,7 @@ def test_extract_solution_properties(n, d, k, seed, reachable, with_series):
     i = int(rng.integers(n))
     targets = [float(Y[i, j]) if reachable else 1e6 for j in range(k)]
     config = small_config(seed=seed, grid_size=200)
-    extra = dict(training_responses=Y, target_values=Y[i]) if with_series else {}
-    x_opt, solution_sets, flags = extract_solution(models, targets, config, **extra)
+    x_opt, solution_sets, flags = extract_solution(models, targets, config)
 
     assert x_opt.shape == (d,)
     assert np.all((x_opt >= 0.0) & (x_opt <= 1.0))
@@ -289,6 +311,106 @@ def test_extract_solution_properties(n, d, k, seed, reachable, with_series):
         assert flags["escalations"] == 6
     else:
         assert all(len(s) > 0 for s in solution_sets)
+
+
+def misfit(y, g0):
+    return float(np.sum((y - g0) ** 2))
+
+
+def polish_case(seed, target_x=(0.62, 0.31), n=8):
+    """A toy simulator after n design runs, and the target series at target_x."""
+    sim = make_toy_simulator()
+    X = random_lhd(n, 2, seed=seed)
+    Y = np.vstack([sim.run(x) for x in X])
+    return sim, sim.peek(np.asarray(target_x, dtype=float)), X, Y
+
+
+@pytest.mark.parametrize("x0, target_x", [
+    ((0.3, 0.7), (0.62, 0.31)),
+    ((1.0, 1.0), (0.62, 0.31)),  # a corner: the differences step inward
+    ((0.5, 0.0), (0.62, 0.31)),
+    ((0.9, 0.5), (1.4, 0.2)),  # the best input lies outside the box: steps are clipped
+    ((0.2, 0.2), (-0.3, 1.3)),
+])
+@pytest.mark.parametrize("runs", [4, 7])
+def test_polish_invariants(x0, target_x, runs):
+    sim, g0, X, Y = polish_case(4, target_x)
+    n = len(X)
+    log = []
+    X2, Y2, best = polish(sim, g0, np.array(x0), X, Y, runs, log, problem=4)
+    # exactly `runs` new runs, each stored with its real series and logged
+    assert sim.calls == n + runs and len(X2) == n + runs
+    assert np.array_equal(X2[:n], X) and np.array_equal(Y2[:n], Y)
+    assert all(np.array_equal(Y2[i], sim.peek(X2[i])) for i in range(n, n + runs))
+    assert [rec["iteration"] for rec in log] == list(range(n + 1, n + runs + 1))
+    assert all(rec["problem"] == 4 and rec["t_star"] == 0 and np.isnan(rec["ei"])
+               and rec["x"] == X2[n + i].tolist() for i, rec in enumerate(log))
+    # inside the box, and no input within DUPLICATE_TOL of another
+    assert np.all((X2 >= 0.0) & (X2 <= 1.0))
+    dists = np.linalg.norm(X2[:, None, :] - X2[None, :, :], axis=2)
+    np.fill_diagonal(dists, np.inf)
+    assert dists.min() >= DUPLICATE_TOL
+    # the start is the first polish run, and the answer is the best polish run
+    assert np.array_equal(X2[n], x0)
+    polish_misfits = [misfit(Y2[i], g0) for i in range(n, n + runs)]
+    assert best >= n and misfit(Y2[best], g0) == min(polish_misfits)
+    assert misfit(Y2[best], g0) <= misfit(Y2[n], g0)
+
+
+def test_polish_descends_to_an_interior_solution():
+    sim, g0, X, Y = polish_case(5)
+    X2, Y2, best = polish(sim, g0, np.array([0.55, 0.4]), X, Y, 8, [], problem=2)
+    assert misfit(Y2[best], g0) < 1e-6 * misfit(Y2[len(X)], g0)
+    assert np.max(np.abs(X2[best] - (0.62, 0.31))) < 1e-3
+
+
+def test_polish_from_a_training_row_spends_no_run_on_it():
+    sim, g0, X, Y = polish_case(6)
+    start = int(np.argmin([misfit(y, g0) for y in Y]))
+    X2, Y2, best = polish(sim, g0, X[start].copy(), X, Y, 5, [], problem=2)
+    assert sim.calls == len(X) + 5 and len(X2) == len(X) + 5
+    assert not any(np.array_equal(x, X[start]) for x in X2[len(X):])
+    # the stored series of the start competes: the answer is never worse than it
+    assert misfit(Y2[best], g0) <= misfit(Y[start], g0)
+
+
+def test_polish_step_onto_a_training_input_refreshes_the_differences():
+    """A linear simulator whose best input lies beyond the corner (1, 1): once
+    the corner is run, every step clips back onto it, so each is replaced by
+    fresh differences there with half the step, until the runs are spent."""
+    A = np.random.default_rng(0).normal(size=(10, 2))
+    spec = SimulatorSpec(name="linear", d=2, L=10, time_grid=np.arange(10.0),
+                         native_bounds=[(0.0, 1.0)] * 2)
+    sim = Simulator(spec, lambda x, t: A @ np.asarray(x))
+    X = random_lhd(5, 2, seed=0)
+    Y = np.vstack([sim.run(x) for x in X])
+    X2, Y2, best = polish(sim, A @ np.array([1.5, 1.5]), np.array([0.5, 0.5]), X, Y, 9, [],
+                          problem=2)
+    assert sim.calls == 14
+    assert np.array_equal(X2[5:], [[0.5, 0.5], [0.51, 0.5], [0.5, 0.51], [1.0, 1.0],
+                                   [0.995, 1.0], [1.0, 0.995], [0.9975, 1.0], [1.0, 0.9975],
+                                   [0.99875, 1.0]])
+    assert np.array_equal(X2[best], [1.0, 1.0])
+
+def test_msce_criterion_09_configs_do_not_polish():
+    """At the criterion-09 budgets no polish fits, so the answer is the
+    extracted grid point and the polish origin holds no run."""
+    for name, n0, N in (("easom", 6, 12), ("harari_steinberg", 6, 12),
+                        ("bliznyuk", 7, 14)):
+        sim = get_simulator(name)
+        config = MsceConfig(n0=n0, N=N, seed=1, M=150, grid_size=300,
+                            design_iterations=200, k_max=4)
+        result = msce_run(sim, target_series(name), config)
+        k = len(result.dps.dps)
+        assert expected_split(config, k, sim.spec.d)[-1] == 0
+        assert result.flags["polish_runs"] == 0
+        assert max(result.origins) == k and sim.calls == N
+        models = [fit_gp(result.training_inputs, result.training_responses[:, t - 1])
+                  for t in result.dps.dps]
+        targets = [float(target_series(name)[t - 1]) for t in result.dps.dps]
+        x_extract, _, _ = extract_solution(models, targets, config)
+        assert np.array_equal(result.x_opt, x_extract)
+        assert np.array_equal(result.response_at_opt, sim.peek(x_extract))
 
 
 def test_hm_tiny_cutoff_stops_after_first_stage(tmp_path):
