@@ -14,6 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 IM_SD_FLOOR = 1e-12
+ALPHA_MAX = 10.0
+
+
+def check_alpha(alpha):
+    """alpha itself; ValueError unless 0 < alpha <= ALPHA_MAX. ndtr rounds to 1
+    from about 8.3 standard deviations up, so a wider band only risks overflow."""
+    if not 0 < alpha <= ALPHA_MAX:
+        raise ValueError(f"alpha must be in (0, {ALPHA_MAX:g}], got {alpha!r}")
+    return alpha
 
 
 @dataclass
@@ -24,8 +33,7 @@ class ContourTarget:
     alpha: float = 0.67
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        check_alpha(self.alpha)
 
 
 def _norm_pdf(u):

@@ -25,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .acquisition import ContourTarget, expected_improvement, implausibility_max
+from .acquisition import (ContourTarget, check_alpha, expected_improvement,
+                          implausibility_max)
 from .designs import maximin_lhd, maxpro_lhd, random_lhd
 from .gp import GpModel, MeanBank, fit_gp, predict_batch
 from .metrics import ConstantTargetError, evaluate_all
@@ -84,8 +85,7 @@ class MsceConfig:
             raise BudgetError(f"need 2 <= n0 < N, got n0={self.n0}, N={self.N}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        check_alpha(self.alpha)
         if self.design_iterations < 0:
             raise ValueError(f"design_iterations must be >= 0, got {self.design_iterations}")
         if self.M < 100:
@@ -218,13 +218,14 @@ def polish(simulator: Simulator, g0: np.ndarray, x0: np.ndarray, X: np.ndarray,
     """Spend exactly `runs` runs on a Levenberg-Marquardt descent of the real
     misfit sum((g(x) - g0)^2) from x0 in [0, 1]^d. Returns (X, Y, the row of
     the incumbent: the polish point of least misfit). A polish point that
-    repeats a training input (x0, say) reuses its stored series. Forward
+    repeats a training input (x0, say) reuses its stored series, so with
+    runs = 1 the run goes to x0, or else to the first difference. Forward
     differences (step h = 0.01, inward at the upper bound) at the incumbent
     give J; each step, damped by lam * diag(J'J) (floored for zero columns;
     lam from 1e-3, /3 on a lower misfit, *4 otherwise) and clipped to the
-    box, costs a run and updates J by Broyden's rule. A step that repeats a training input is not
-    run: the differences are taken afresh with h halved. Runs are logged
-    with t_star 0 and no surrogate values."""
+    box, costs a run and updates J by Broyden's rule. A step that repeats a
+    training input is not run: the differences are taken afresh with h
+    halved. Runs are logged with t_star 0 and no surrogate values."""
     d = X.shape[1]
     n_before = len(X)
     rows, misfits = [], []  # the polish points as rows of X, and their real misfits
@@ -294,11 +295,12 @@ def checked_target(target, simulator: Simulator) -> TargetSeries:
 def msce_run(simulator: Simulator, target, config: MsceConfig) -> CalibrationResult:
     """Calibrate by sequential scalar contour estimation at the DPS indices.
 
-    Spends exactly N simulator runs: n0 on the initial design, m on the polish
-    of the extracted answer (flags["polish_runs"]), the rest split evenly over
-    the k DPS problems (earlier problems take the leftovers, since they double
-    as global exploration). The answer is the best polish run; with m = 0 it
-    is the extracted point, whose series is computed off budget.
+    Spends exactly N simulator runs and evaluates the simulator nowhere else:
+    n0 on the initial design, m on the polish of the extracted answer
+    (flags["polish_runs"]; 1 when fewer than d + 2 runs are left), the rest
+    split evenly over the k DPS problems (earlier problems take the
+    leftovers, since they double as global exploration). The answer is the
+    best polish run.
     """
     series = checked_target(target, simulator)
     d = simulator.spec.d
@@ -309,11 +311,11 @@ def msce_run(simulator: Simulator, target, config: MsceConfig) -> CalibrationRes
         dps = sorted(dps)
     k = len(dps)
     follow_up = config.N - config.n0
-    if follow_up < k:
-        raise BudgetError(
-            f"budget N-n0={follow_up} cannot give each of {k} scalar problems a point")
+    if follow_up < k + 1:
+        raise BudgetError(f"budget N-n0={follow_up} cannot give each of {k} scalar "
+                          f"problems a run and the answer one more (needs {k + 1})")
     m = min(2 * (d + 1), follow_up - k)  # polish runs: a start, d differences, steps
-    m = m if m >= d + 2 else 0
+    m = m if m >= d + 2 else 1  # too few to descend: one run evaluates the answer
 
     calls_before = simulator.calls
     run_log: list = []
@@ -334,12 +336,9 @@ def msce_run(simulator: Simulator, target, config: MsceConfig) -> CalibrationRes
     targets = [float(series.values[t - 1]) for t in dps]
     x_opt, solution_sets, flags = extract_solution(models, targets, config)
     flags["polish_runs"] = m
-    if m:
-        X, Y, best = polish(simulator, series.values, x_opt, X, Y, m, run_log, k + 1)
-        origins.extend([k + 1] * m)
-        x_opt, response_at_opt = X[best], Y[best]
-    else:
-        response_at_opt = simulator.peek(x_opt)  # off budget, reporting only
+    X, Y, best = polish(simulator, series.values, x_opt, X, Y, m, run_log, k + 1)
+    origins.extend([k + 1] * m)
+    x_opt, response_at_opt = X[best], Y[best]
 
     used = simulator.calls - calls_before
     assert used == config.N, f"budget accounting broken: {used} != {config.N}"

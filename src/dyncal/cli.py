@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import os
+import shlex
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -221,7 +222,7 @@ def _run_common(args, mode: str) -> int:
 
 def _cmd_simulate(args) -> int:
     simulator = _build_simulator(args.simulator or {
-        "command": args.command.split(), "d": args.d, "L": args.L,
+        "command": shlex.split(args.command), "d": args.d, "L": args.L,
         "bounds": [[0.0, 1.0]] * args.d, "exchange_dir": args.exchange_dir})
     inputs = _read_csv(args.inputs, [f"x{k + 1}" for k in range(simulator.spec.d)])
     out_path = Path(args.out or "responses.csv")
@@ -273,7 +274,7 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="batch-evaluate a simulator")
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--simulator", choices=["easom", "harari_steinberg", "bliznyuk"])
-    group.add_argument("--command", help="external simulator command line")
+    group.add_argument("--command", help="external simulator command line, split like a shell")
     sp.add_argument("inputs", help="inputs CSV (native units; header x1..xd optional)")
     sp.add_argument("--scaled", action="store_true",
                     help="treat inputs as already scaled to [0,1]^d")

@@ -101,10 +101,9 @@ def bliznyuk(x, t):
 
 
 class Simulator:
-    """Series-valued simulator with budget accounting.
-
-    run() evaluates at a scaled input and counts against the budget;
-    peek() evaluates without counting, for off-budget reporting only.
+    """Series-valued simulator with budget accounting: run() evaluates at a
+    scaled input and counts it. peek() evaluates without counting; no dyncal
+    code calls it (the benchmark's perfbench/selftest.py does).
     """
 
     def __init__(self, spec: SimulatorSpec, func):

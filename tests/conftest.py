@@ -23,20 +23,22 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def toy_response(x, t):
+    """The toy simulator's closed form; its native box is [0,1]^d, so x is
+    both the scaled and the native input."""
+    t = np.asarray(t, dtype=float)
+    out = np.exp(x[0] * t) * np.cos(4.0 * x[1] * t + 1.0)
+    for k in range(2, len(x)):
+        out = out + 0.3 * x[k] * t ** (k - 1)
+    return out
+
+
 def make_toy_simulator(L=40, d=2):
     """Cheap smooth dynamic simulator for unit tests, inputs on [0,1]^d."""
-
-    def func(x, t):
-        t = np.asarray(t, dtype=float)
-        out = np.exp(x[0] * t) * np.cos(4.0 * x[1] * t + 1.0)
-        for k in range(2, len(x)):
-            out = out + 0.3 * x[k] * t ** (k - 1)
-        return out
-
     spec = SimulatorSpec(name="toy", d=d, L=L,
                          time_grid=np.linspace(0.0, 1.0, L),
                          native_bounds=[(0.0, 1.0)] * d)
-    return Simulator(spec, func)
+    return Simulator(spec, toy_response)
 
 
 def run_fresh_python(code: str) -> str:

@@ -1,18 +1,24 @@
 import json
+import stat
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_toy_simulator
+from conftest import make_toy_simulator, toy_response
+from dyncal.acquisition import ContourTarget
 from dyncal.calibrate import (DUPLICATE_TOL, BudgetError, MsceConfig, _best_candidate,
                               _is_duplicate, extract_solution, hm_run, msce_run, polish,
                               resolved_config_dict, solve_scalar_contour,
                               write_run_artifacts)
 from dyncal.designs import maximin_lhd, random_lhd
 from dyncal.gp import fit_gp, predict_batch
-from dyncal.simulators import Simulator, SimulatorSpec, get_simulator, target_series
+from dyncal.simulators import (EASOM_SPEC, ExternalSimulator, Simulator, SimulatorSpec,
+                               bliznyuk, easom, get_simulator, harari_steinberg,
+                               target_series)
 from dyncal.spline_dps import TargetSeries, build_dps
 
 
@@ -24,7 +30,15 @@ def small_config(**overrides):
 
 
 def toy_target(sim, x0=(0.62, 0.31)):
-    return sim.peek(np.asarray(x0, dtype=float))
+    """The toy simulator's series at x0, from its closed form: no run."""
+    return toy_response(np.asarray(x0, dtype=float), sim.spec.time_grid)
+
+
+def closed_form(name, x_scaled):
+    """A bundled simulator's series at a scaled input, from its closed form: no run."""
+    spec = get_simulator(name).spec
+    func = {"easom": easom, "harari_steinberg": harari_steinberg, "bliznyuk": bliznyuk}[name]
+    return np.asarray(func(spec.unscale(x_scaled), spec.time_grid), dtype=float)
 
 
 def test_config_validation():
@@ -38,6 +52,17 @@ def test_config_validation():
         MsceConfig(n0=5, N=10, M=50)
     with pytest.raises(ValueError):
         MsceConfig(n0=5, N=10, initial_design="sobol")
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, 10.000001, 1e308])
+def test_alpha_outside_its_range_is_refused(alpha):
+    """One check serves the config and the EI target: 0 < alpha <= 10."""
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 10\]"):
+        MsceConfig(n0=5, N=10, alpha=alpha)
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 10\]"):
+        ContourTarget(a=0.0, alpha=alpha)
+    MsceConfig(n0=5, N=10, alpha=10)  # the bound itself is accepted
+    ContourTarget(a=0.0, alpha=10)
 
 
 def sorted_pick(ei, cands, X):
@@ -128,10 +153,10 @@ def test_solve_scalar_contour_budget_and_interpolation():
 def expected_split(config, k, d=2):
     """Runs per origin: n0 for the design, the k problems sharing what the
     polish leaves (earlier problems first), and the polish's m = 2(d + 1),
-    capped so that each problem keeps a run and 0 below d + 2."""
+    capped so that each problem keeps a run, and 1 below d + 2."""
     follow_up = config.N - config.n0
     m = min(2 * (d + 1), follow_up - k)
-    m = m if m >= d + 2 else 0
+    m = m if m >= d + 2 else 1
     base, rem = divmod(follow_up - m, k)
     return [config.n0] + [base + (1 if j <= rem else 0) for j in range(1, k + 1)] + [m]
 
@@ -139,7 +164,7 @@ def expected_split(config, k, d=2):
 def check_origins(result, config, d=2):
     k = len(result.dps.dps)
     split = expected_split(config, k, d)
-    assert split[-1] > 0  # the small config polishes
+    assert split[-1] >= 4  # the small config descends
     assert [result.origins.count(j) for j in range(k + 2)] == split
     assert len(result.origins) == sum(split) == config.N
     assert result.flags["polish_runs"] == split[-1]
@@ -202,12 +227,51 @@ def test_msce_no_duplicate_inputs_and_box():
 
 
 def test_msce_budget_error():
+    """N - n0 must cover a run per scalar problem and one for the answer."""
     sim = make_toy_simulator()
     target = toy_target(sim)
     k = len(build_dps(TargetSeries(target), 3).dps)
     assert k >= 2
-    with pytest.raises(BudgetError):
-        msce_run(sim, target, small_config(n0=6, N=6 + k - 1))
+    for N in (6 + k - 1, 6 + k):
+        with pytest.raises(BudgetError, match=f"cannot give each of {k} scalar problems "
+                                              f"a run and the answer one more"):
+            msce_run(sim, target, small_config(n0=6, N=N))
+    assert sim.calls == 0
+    result = msce_run(sim, target, small_config(n0=6, N=6 + k + 1))
+    assert sim.calls == result.budget_used == 6 + k + 1
+    assert result.origins == [0] * 6 + list(range(1, k + 2))
+    assert result.flags["polish_runs"] == 1
+
+
+def test_external_simulator_is_launched_exactly_n_times(tmp_path):
+    """At criterion 09's easom budget no descent fits, and the answer still
+    costs a counted run: the executable is launched N times, at the N
+    training inputs, and never once more."""
+    log = tmp_path / "launches.csv"
+    exe = tmp_path / "easom_sim.py"
+    exe.write_text(f"#!{sys.executable}\n" + textwrap.dedent(f"""
+        import csv, math
+        with open("input.csv", newline="") as fh:
+            x1, x2 = (float(v) for v in list(csv.reader(fh))[1])
+        with open({str(log)!r}, "a") as fh:
+            fh.write(f"{{x1!r}},{{x2!r}}\\n")
+        with open("output.csv", "w") as fh:
+            fh.write("t,value\\n")
+            for i in range(200):
+                t = i / 199
+                y = (math.cos(x1) * math.cos(x2)
+                     * math.exp(-(x1 - math.pi * t) ** 2 - (x2 - math.pi) ** 2))
+                fh.write(f"{{t!r}},{{y!r}}\\n")
+    """))
+    exe.chmod(exe.stat().st_mode | stat.S_IEXEC)
+    sim = ExternalSimulator(EASOM_SPEC, [str(exe)], tmp_path / "exchange")
+    config = MsceConfig(n0=6, N=12, seed=1, M=150, grid_size=300,
+                        design_iterations=200, k_max=4)
+    result = msce_run(sim, target_series("easom"), config)
+    launches = np.loadtxt(log, delimiter=",", ndmin=2)
+    assert len(launches) == result.budget_used == sim.calls == config.N
+    assert np.array_equal(launches, result.training_inputs)
+    assert result.flags["polish_runs"] == 1
 
 
 def test_msce_deterministic():
@@ -322,7 +386,7 @@ def polish_case(seed, target_x=(0.62, 0.31), n=8):
     sim = make_toy_simulator()
     X = random_lhd(n, 2, seed=seed)
     Y = np.vstack([sim.run(x) for x in X])
-    return sim, sim.peek(np.asarray(target_x, dtype=float)), X, Y
+    return sim, toy_target(sim, target_x), X, Y
 
 
 @pytest.mark.parametrize("x0, target_x", [
@@ -341,7 +405,7 @@ def test_polish_invariants(x0, target_x, runs):
     # exactly `runs` new runs, each stored with its real series and logged
     assert sim.calls == n + runs and len(X2) == n + runs
     assert np.array_equal(X2[:n], X) and np.array_equal(Y2[:n], Y)
-    assert all(np.array_equal(Y2[i], sim.peek(X2[i])) for i in range(n, n + runs))
+    assert all(np.array_equal(Y2[i], toy_target(sim, X2[i])) for i in range(n, n + runs))
     assert [rec["iteration"] for rec in log] == list(range(n + 1, n + runs + 1))
     assert all(rec["problem"] == 4 and rec["t_star"] == 0 and np.isnan(rec["ei"])
                and rec["x"] == X2[n + i].tolist() for i, rec in enumerate(log))
@@ -392,25 +456,44 @@ def test_polish_step_onto_a_training_input_refreshes_the_differences():
                                    [0.99875, 1.0]])
     assert np.array_equal(X2[best], [1.0, 1.0])
 
-def test_msce_criterion_09_configs_do_not_polish():
-    """At the criterion-09 budgets no polish fits, so the answer is the
-    extracted grid point and the polish origin holds no run."""
-    for name, n0, N in (("easom", 6, 12), ("harari_steinberg", 6, 12),
-                        ("bliznyuk", 7, 14)):
+
+def test_msce_criterion_09_configs_spend_one_run_on_the_answer():
+    """At the criterion-09 budgets no descent fits, so the polish is one paid
+    run: of the extracted grid point, or, when that point repeats a training
+    input, of the first difference probe, and the answer is the better of
+    that row and the probe. Either way the answer's series is a run's."""
+    cases = [(name, n0, N, seed) for seed in (1, 5)  # criteria 09 and 10
+             for name, n0, N in (("easom", 6, 12), ("harari_steinberg", 6, 12),
+                                 ("bliznyuk", 7, 14))]
+    repeats = 0
+    for name, n0, N, seed in cases:
         sim = get_simulator(name)
-        config = MsceConfig(n0=n0, N=N, seed=1, M=150, grid_size=300,
+        config = MsceConfig(n0=n0, N=N, seed=seed, M=150, grid_size=300,
                             design_iterations=200, k_max=4)
         result = msce_run(sim, target_series(name), config)
         k = len(result.dps.dps)
-        assert expected_split(config, k, sim.spec.d)[-1] == 0
-        assert result.flags["polish_runs"] == 0
-        assert max(result.origins) == k and sim.calls == N
-        models = [fit_gp(result.training_inputs, result.training_responses[:, t - 1])
-                  for t in result.dps.dps]
+        assert expected_split(config, k, sim.spec.d)[-1] == 1
+        assert result.flags["polish_runs"] == 1
+        assert result.origins[-1] == k + 1 and max(result.origins[:-1]) == k
+        assert sim.calls == N
+        X, Y = result.training_inputs, result.training_responses
+        models = [fit_gp(X[:-1], Y[:-1, t - 1]) for t in result.dps.dps]
         targets = [float(target_series(name)[t - 1]) for t in result.dps.dps]
         x_extract, _, _ = extract_solution(models, targets, config)
-        assert np.array_equal(result.x_opt, x_extract)
-        assert np.array_equal(result.response_at_opt, sim.peek(x_extract))
+        if _is_duplicate(x_extract, X[:-1]):
+            repeats += 1
+            probe = x_extract.copy()
+            probe[0] += 0.01 if probe[0] + 0.01 <= 1.0 else -0.01
+            assert np.array_equal(X[-1], probe)
+            row = int(np.argmin(np.linalg.norm(X[:-1] - x_extract, axis=1)))
+            g0 = target_series(name)
+            better = min((row, N - 1), key=lambda i: np.sum((Y[i] - g0) ** 2))
+            assert np.array_equal(result.x_opt, X[better])
+        else:
+            assert np.array_equal(X[-1], x_extract)
+            assert np.array_equal(result.x_opt, x_extract)
+        assert np.array_equal(result.response_at_opt, closed_form(name, result.x_opt))
+    assert 0 < repeats < len(cases)  # both kinds of answer are met (bliznyuk, seed 5)
 
 
 def test_hm_tiny_cutoff_stops_after_first_stage(tmp_path):

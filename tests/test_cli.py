@@ -1,9 +1,11 @@
 import filecmp
 import json
 import math
+import shlex
 import stat
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 
 from conftest import run_fresh_python
 from dyncal import cli
-from dyncal.simulators import get_simulator, target_series
+from dyncal.simulators import EASOM_SPEC, easom, get_simulator, target_series
 from dyncal.spline_dps import TargetSeries, build_dps
 
 
@@ -210,6 +212,14 @@ def test_calibrate_budget_error_exit_code(tmp_path, capsys):
     assert "budget" in capsys.readouterr().err.lower()
 
 
+def test_calibrate_accepts_the_largest_alpha(tmp_path):
+    """alpha = 10, the top of its range, runs without an overflowing EI."""
+    cfg = toy_calibrate_config(tmp_path, alpha=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["calibrate", cfg, "--out-dir", str(tmp_path / "run")]) == cli.EXIT_OK
+
+
 @pytest.mark.parametrize("field,value,message", [
     ("design_iterations", 1.5, "must be an integer"), ("n0", 6.0, "must be an integer"),
     ("M", 5000.0, "must be an integer"), ("k_max", True, "must be an integer"),
@@ -276,6 +286,7 @@ def _external_spec(**overrides):
     ("calibrate", {"simulator": _external_spec(time_grid=list(range(1, 10)) + [math.nan]),
                    "target": [0.0] * 10}, "time grid must be finite"),
     ("calibrate", {"epsilon": 10 ** 400}, "epsilon must be finite, got 1000"),
+    ("calibrate", {"alpha": 1e308}, "alpha must be in (0, 10], got 1e+308"),
 ])
 def test_mistyped_config_value_is_config_error(tmp_path, capsys, mode, overrides, message):
     cfg = toy_calibrate_config(tmp_path, **overrides)
@@ -311,7 +322,7 @@ def test_config_key_error_is_config_error(tmp_path, capsys, mode, overrides, mes
 
 @pytest.mark.parametrize("mode,overrides", [
     ("calibrate", {}),
-    ("calibrate", {"target": get_simulator("easom").peek(np.array([0.6, 0.4])).tolist()}),
+    ("calibrate", {"target": easom(np.array([0.6, 0.4]), EASOM_SPEC.time_grid).tolist()}),
     ("hm", {"cutoff": 2.0, "hm_stage_cap": 4, "hm_stage_limit": 2}),
 ])
 def test_config_json_replays_the_run(tmp_path, mode, overrides):
@@ -436,6 +447,37 @@ def test_simulate_external_exchange_dir_precedence(tmp_path, monkeypatch, env):
     assert rc == 0
     assert Path(log.read_text()).parent == (tmp_path / (env or "from_flag")).resolve()
     assert sorted(p.name for p in work.iterdir()) == ["resp.csv"]
+
+
+def test_simulate_command_is_split_like_a_shell(tmp_path):
+    """A quoted executable path with a space in it stays one word, and the
+    words after it reach the executable as its arguments."""
+    exe = tmp_path / "my sims" / "const_sim.py"
+    exe.parent.mkdir()
+    exe.write_text(f"#!{sys.executable}\n" + textwrap.dedent("""
+        import sys
+        with open("output.csv", "w") as fh:
+            fh.write("t,value\\n1," + sys.argv[1] + "\\n2," + sys.argv[2] + "\\n")
+    """))
+    exe.chmod(exe.stat().st_mode | stat.S_IEXEC)
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_text("x1\n0.25\n")
+    out = tmp_path / "resp.csv"
+    rc = cli.main(["simulate", "--command", f"{shlex.quote(str(exe))} 2.5 '-1.5'",
+                   str(inputs), "--d", "1", "--L", "2", "--exchange-dir",
+                   str(tmp_path / "xchg"), "--out", str(out)])
+    assert rc == 0
+    assert out.read_text() == "t,y1\n1.0,2.5\n2.0,-1.5\n"
+
+
+def test_simulate_unbalanced_quote_is_config_error(tmp_path, capsys):
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_text("x1\n0.25\n")
+    rc = cli.main(["simulate", "--command", "'./my sim", str(inputs), "--d", "1",
+                   "--exchange-dir", str(tmp_path / "x")])
+    assert rc == cli.EXIT_CONFIG
+    assert "config error: No closing quotation" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_simulate_empty_command_is_config_error(tmp_path, capsys):
