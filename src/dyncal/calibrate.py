@@ -30,7 +30,7 @@ from .acquisition import (ContourTarget, check_alpha, expected_improvement,
 from .designs import maximin_lhd, maxpro_lhd, random_lhd
 from .gp import GpModel, MeanBank, fit_gp, predict_batch
 from .metrics import ConstantTargetError, evaluate_all
-from .simulators import Simulator
+from .simulators import Simulator, write_csv
 from .spline_dps import K_MAX_DEFAULT, DpsResult, TargetSeries, build_dps
 
 DUPLICATE_TOL = 1e-10
@@ -86,8 +86,10 @@ class MsceConfig:
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         check_alpha(self.alpha)
-        if self.design_iterations < 0:
-            raise ValueError(f"design_iterations must be >= 0, got {self.design_iterations}")
+        for name, least in (("design_iterations", 0), ("grid_size", 1),
+                            ("hm_stage_cap", 1), ("hm_stage_limit", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.M < 100:
             raise ValueError("candidate-set size M must be at least 100")
         if self.initial_design not in ("maxpro", "maximin", "random"):
@@ -418,14 +420,6 @@ def hm_run(simulator: Simulator, target, dps: DpsResult, n0: int, cutoff: float,
         origins=origins, response_at_opt=response_at_opt, target=series.values,
         trace_columns=_HM_TRACE,
     )
-
-
-def write_csv(path, header: list, rows) -> None:
-    """One header line, then one line per row of Python numbers, each as its repr."""
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def write_responses(path, times: list, runs: list) -> None:

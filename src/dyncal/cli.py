@@ -8,13 +8,13 @@ Subcommands:
   evaluate   two series CSVs -> metrics JSON
 
 Exit codes: 0 success, 1 unexpected error, 2 invalid config or budget,
-3 surrogate fit failure, 4 external-simulator process/protocol failure,
-5 unreadable or malformed input file.
+3 surrogate fit failure, 4 external-simulator process/protocol failure (an
+unreadable or malformed output.csv included), 5 unreadable or malformed
+input file.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import shlex
@@ -27,9 +27,9 @@ import numpy as np
 from . import calibrate as cal
 from .gp import FitError
 from .metrics import ConstantTargetError, evaluate_all
-from .simulators import (ExternalSimulator, ProcessError, ProtocolError,
-                         Simulator, SimulatorSpec, SimulatorTimeout,
-                         get_simulator, target_series)
+from .simulators import (ExternalSimulator, InputError, ProcessError, ProtocolError,
+                         Simulator, SimulatorSpec, SimulatorTimeout, get_simulator,
+                         read_csv, target_series, write_csv)
 from .spline_dps import (K_MAX_DEFAULT, K_MAX_LEAST, CubicTargetError, TargetSeries,
                          build_dps)
 
@@ -43,43 +43,9 @@ EXIT_PARSE = 5
 EXCHANGE_DIR_ENV = "DYNCAL_EXCHANGE_DIR"
 
 
-class InputError(Exception):
-    """Unreadable or malformed input file."""
-
-
-def _read_csv(path, names: list[str]) -> np.ndarray:
-    """The numbers of a CSV file as an (n, len(names)) float array.
-
-    Blank lines are skipped. The first other line is a header, and skipped,
-    when its cells are `names` up to case and surrounding spaces. Every other
-    line must hold len(names) finite numbers; an error names its file line.
-    """
-    try:
-        with open(path, newline="") as fh:
-            lines = [(i, row) for i, row in enumerate(csv.reader(fh), start=1) if row]
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise InputError(f"cannot read {path}: {exc}")
-    if lines and [c.strip().lower() for c in lines[0][1]] == names:
-        del lines[0]
-    values: list[float] = []
-    for i, row in lines:
-        if len(row) != len(names):
-            raise InputError(f"{path}: row {i} has {len(row)} fields, expected {len(names)}")
-        try:
-            values.extend(map(float, row))
-        except ValueError:
-            raise InputError(f"{path}: row {i} is not numeric: {row!r}")
-    data = np.array(values).reshape(len(lines), len(names))
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        i, row = lines[int(np.argmin(finite))]
-        raise InputError(f"{path}: row {i} is not finite: {row!r}")
-    return data
-
-
 def _read_series_csv(path) -> TargetSeries:
     """A t,value series; the t values are checked only, as knots are the indices 1..L."""
-    data = _read_csv(path, ["t", "value"])
+    data = read_csv(path, ["t", "value"])
     try:
         return TargetSeries(data[:, 1])
     except ValueError as exc:
@@ -175,7 +141,7 @@ def _cmd_dps(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cal.write_json(out / "dps.json", result.to_dict())
-    cal.write_csv(out / "mse_path.csv", ["knots", "mse"], enumerate(result.mse_path.tolist()))
+    write_csv(out / "mse_path.csv", ["knots", "mse"], enumerate(result.mse_path.tolist()))
     print(f"dps: {result.dps} (k={result.k_selected}) -> {out}")
     return EXIT_OK
 
@@ -224,7 +190,7 @@ def _cmd_simulate(args) -> int:
     simulator = _build_simulator(args.simulator or {
         "command": shlex.split(args.command), "d": args.d, "L": args.L,
         "bounds": [[0.0, 1.0]] * args.d, "exchange_dir": args.exchange_dir})
-    inputs = _read_csv(args.inputs, [f"x{k + 1}" for k in range(simulator.spec.d)])
+    inputs = read_csv(args.inputs, [f"x{k + 1}" for k in range(simulator.spec.d)])
     out_path = Path(args.out or "responses.csv")
     runs = [simulator.run(x if args.scaled else simulator.spec.scale(x)).tolist()
             for x in inputs]
@@ -244,10 +210,9 @@ def _cmd_evaluate(args) -> int:
         payload = evaluate_all(g_hat.values, g0.values)
     except ConstantTargetError as exc:
         raise InputError(f"{args.target}: {exc}")
-    text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
+        cal.write_json(args.out, payload)
+    print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
 

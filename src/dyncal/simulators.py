@@ -5,7 +5,9 @@ Easom bump on [0,1]^2, the Harari-Steinberg oscillator on [0,1]^3, and the
 five-input pollutant-spill model on its native box. The calibration layer
 always works with inputs scaled to [0,1]^d; unscaling to native units is
 affine and happens here. An external executable can stand in for a bundled
-simulator through a small CSV exchange protocol.
+simulator through a small CSV exchange protocol. read_csv and write_csv
+are dyncal's one CSV reader and one CSV writer, for that exchange as for
+every other file.
 """
 from __future__ import annotations
 
@@ -32,6 +34,48 @@ class ProtocolError(RuntimeError):
 
 class SimulatorTimeout(RuntimeError):
     """External simulator exceeded its wall-clock limit."""
+
+
+class InputError(Exception):
+    """Unreadable or malformed input file."""
+
+
+def read_csv(path, names: list[str]) -> np.ndarray:
+    """The numbers of a CSV file as an (n, len(names)) float array.
+
+    Blank lines are skipped. The first other line is a header, and skipped,
+    when its cells are `names` up to case and surrounding spaces. Every other
+    line must hold len(names) finite numbers; an error names its file line.
+    """
+    try:
+        with open(path, newline="") as fh:
+            lines = [(i, row) for i, row in enumerate(csv.reader(fh), start=1) if row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"cannot read {path}: {exc}")
+    if lines and [c.strip().lower() for c in lines[0][1]] == names:
+        del lines[0]
+    values: list[float] = []
+    for i, row in lines:
+        if len(row) != len(names):
+            raise InputError(f"{path}: row {i} has {len(row)} fields, expected {len(names)}")
+        try:
+            values.extend(map(float, row))
+        except ValueError:
+            raise InputError(f"{path}: row {i} is not numeric: {row!r}")
+    data = np.array(values).reshape(len(lines), len(names))
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        i, row = lines[int(np.argmin(finite))]
+        raise InputError(f"{path}: row {i} is not finite: {row!r}")
+    return data
+
+
+def write_csv(path, header: list, rows) -> None:
+    """One header line, then one line per row of Python numbers, each as its repr."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 @dataclass
@@ -169,14 +213,18 @@ class ExternalSimulator(Simulator):
 
     Protocol: each run gets a fresh subdirectory of exchange_dir, and the
     executable runs with that subdirectory as its cwd. input.csv has header
-    x1..xd and one data row in native units; the executable must exit 0 and
-    leave output.csv with header t,value and exactly L data rows of finite
-    numbers. The subdirectory is removed once its output parses and kept
-    otherwise, for diagnosis. The executable leads its own process group,
-    and a timeout kills the whole group.
+    x1..xd and one data row in native units, each number as its repr; the
+    executable must exit 0 within timeout seconds (> 0) and leave output.csv
+    with exactly L rows of two finite numbers, t and value, read by read_csv:
+    a header t,value is optional and blank lines are skipped. The
+    subdirectory is removed once its output parses and kept otherwise, for
+    diagnosis. The executable leads its own process group, and a timeout
+    kills the whole group.
     """
 
     def __init__(self, spec: SimulatorSpec, command, exchange_dir, timeout: float = 60.0):
+        if not timeout > 0:
+            raise ValueError(f"simulator timeout must be positive, got {timeout!r}")
         super().__init__(spec, self._invoke)
         self.command = [str(c) for c in (command if isinstance(command, (list, tuple)) else [command])]
         self.exchange_dir = Path(exchange_dir)
@@ -185,10 +233,8 @@ class ExternalSimulator(Simulator):
     def _invoke(self, x_native, time_grid) -> np.ndarray:
         self.exchange_dir.mkdir(parents=True, exist_ok=True)
         run_dir = Path(tempfile.mkdtemp(prefix="run-", dir=self.exchange_dir))
-        with open(run_dir / "input.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{k + 1}" for k in range(self.spec.d)])
-            writer.writerow([f"{float(v):.17g}" for v in np.atleast_1d(x_native)])
+        write_csv(run_dir / "input.csv", [f"x{k + 1}" for k in range(self.spec.d)],
+                  [x_native.tolist()])
         try:
             proc = subprocess.Popen(self.command, cwd=run_dir, stdout=subprocess.PIPE,
                                     stderr=subprocess.PIPE, text=True,
@@ -208,32 +254,11 @@ class ExternalSimulator(Simulator):
         if proc.returncode != 0:
             raise ProcessError(
                 f"simulator exited {proc.returncode}: {stderr.strip()[:500]}")
-        values = self._parse_output(run_dir / "output.csv")
-        shutil.rmtree(run_dir)
-        return values
-
-    def _parse_output(self, out_path: Path) -> np.ndarray:
-        if not out_path.exists():
-            raise ProtocolError(f"simulator wrote no {out_path.name}")
         try:
-            with open(out_path, newline="") as fh:
-                rows = list(csv.reader(fh))
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise ProtocolError(f"unreadable {out_path.name}: {exc}")
-        if not rows or [c.strip() for c in rows[0]] != ["t", "value"]:
-            raise ProtocolError("output.csv must start with header 't,value'")
-        data = rows[1:]
+            data = read_csv(run_dir / "output.csv", ["t", "value"])
+        except InputError as exc:
+            raise ProtocolError(str(exc)) from None
         if len(data) != self.spec.L:
-            raise ProtocolError(
-                f"expected {self.spec.L} output rows, got {len(data)}")
-        values = np.empty(self.spec.L)
-        for i, row in enumerate(data):
-            if len(row) != 2:
-                raise ProtocolError(f"output row {i + 2} has {len(row)} fields")
-            try:
-                values[i] = float(row[1])
-            except ValueError:
-                raise ProtocolError(f"non-numeric value in output row {i + 2}: {row[1]!r}")
-        if not np.all(np.isfinite(values)):
-            raise ProtocolError("output contains non-finite values")
-        return values
+            raise ProtocolError(f"expected {self.spec.L} output rows, got {len(data)}")
+        shutil.rmtree(run_dir)
+        return data[:, 1]

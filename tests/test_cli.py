@@ -240,6 +240,22 @@ def test_calibrate_negative_design_iterations_is_config_error(tmp_path, capsys):
     assert "design_iterations must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, field, value", [
+    ("calibrate", "grid_size", 0), ("hm", "hm_stage_cap", -3), ("hm", "hm_stage_limit", 0),
+])
+def test_count_below_one_is_refused_before_any_run(tmp_path, capsys, monkeypatch,
+                                                   mode, field, value):
+    made = []
+    monkeypatch.setattr(cli, "get_simulator", lambda name: made.append(get_simulator(name))
+                        or made[-1])
+    cfg = toy_calibrate_config(tmp_path, cutoff=0.5, **{field: value})
+    rc = cli.main([mode, cfg, "--out-dir", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    assert f"config error: {field} must be >= 1, got {value}" in capsys.readouterr().err
+    assert [sim.calls for sim in made] == [0]
+    assert not (tmp_path / "run").exists()
+
+
 def test_runtime_error_exits_one_without_traceback(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("dyncal.calibrate._is_duplicate", lambda x, X: True)
     cfg = toy_calibrate_config(tmp_path)
@@ -283,6 +299,8 @@ def _external_spec(**overrides):
                    "target": [0.0] * 10}, "simulator bound must be finite, got inf"),
     ("calibrate", {"simulator": _external_spec(timeout=math.nan), "target": [0.0] * 10},
      "simulator timeout must be finite, got nan"),
+    ("calibrate", {"simulator": _external_spec(timeout=-1.0), "target": [0.0] * 10},
+     "simulator timeout must be positive, got -1.0"),
     ("calibrate", {"simulator": _external_spec(time_grid=list(range(1, 10)) + [math.nan]),
                    "target": [0.0] * 10}, "time grid must be finite"),
     ("calibrate", {"epsilon": 10 ** 400}, "epsilon must be finite, got 1000"),

@@ -175,7 +175,7 @@ def test_external_missing_output(tmp_path):
         pass
     """)
     sim = ExternalSimulator(_tiny_spec(), [exe], tmp_path / "xchg")
-    with pytest.raises(ProtocolError, match="no output.csv"):
+    with pytest.raises(ProtocolError, match=r"cannot read .*output\.csv: .*No such file"):
         sim.run([0.5, 0.5])
 
 
@@ -212,8 +212,56 @@ def test_external_bad_header(tmp_path):
                 fh.write(f"{i+1},1.0\\n")
     """)
     sim = ExternalSimulator(_tiny_spec(), [exe], tmp_path / "xchg")
-    with pytest.raises(ProtocolError, match="header"):
+    with pytest.raises(ProtocolError, match=r"output\.csv: row 1 is not numeric"):
         sim.run([0.5, 0.5])
+
+
+@pytest.mark.parametrize("text", [
+    "1,7.25\n2,7.25\n3,7.25\n4,7.25\n5,7.25\n",
+    "T , Value\n\n1,7.25\n2,7.25\n3,7.25\n4,7.25\n5,7.25\n\n",
+], ids=["no-header", "blank-lines"])
+def test_external_output_is_read_like_every_csv(tmp_path, text):
+    """The header is optional and case-insensitive, and blank lines are skipped."""
+    exe = _write_executable(tmp_path / "sim.py", f"""
+        with open("output.csv", "w") as fh:
+            fh.write({text!r})
+    """)
+    sim = ExternalSimulator(_tiny_spec(), [exe], tmp_path / "xchg")
+    assert np.array_equal(sim.run([0.5, 0.5]), np.full(5, 7.25))
+
+
+@pytest.mark.parametrize("t3, message", [
+    ("oops", "row 4 is not numeric"), ("nan", "row 4 is not finite"),
+])
+def test_external_output_times_must_be_finite_numbers(tmp_path, t3, message):
+    exe = _write_executable(tmp_path / "sim.py", f"""
+        with open("output.csv", "w") as fh:
+            fh.write("t,value\\n1,1.0\\n2,1.0\\n{t3},1.0\\n4,1.0\\n5,1.0\\n")
+    """)
+    sim = ExternalSimulator(_tiny_spec(), [exe], tmp_path / "xchg")
+    with pytest.raises(ProtocolError, match=rf"output\.csv: {message}"):
+        sim.run([0.5, 0.5])
+
+
+def test_external_input_holds_repr_numbers(tmp_path):
+    """input.csv holds each native input as its repr: 0.1, not 0.10000000000000001."""
+    log = tmp_path / "input-copy.csv"
+    exe = _write_executable(tmp_path / "sim.py", f"""
+        import shutil
+        shutil.copy("input.csv", {str(log)!r})
+        with open("output.csv", "w") as fh:
+            fh.write("t,value\\n1,0.0\\n2,0.0\\n3,0.0\\n4,0.0\\n5,0.0\\n")
+    """)
+    sim = ExternalSimulator(_tiny_spec(), [exe], tmp_path / "xchg")
+    sim.run([0.1, 1 / 3])
+    assert log.read_text() == f"x1,x2\n0.1,{1 / 3!r}\n"
+
+
+@pytest.mark.parametrize("timeout", [0.0, -1.0, math.nan])
+def test_external_timeout_must_be_positive(tmp_path, timeout):
+    with pytest.raises(ValueError, match="simulator timeout must be positive"):
+        ExternalSimulator(_tiny_spec(), ["true"], tmp_path / "xchg", timeout=timeout)
+    assert not (tmp_path / "xchg").exists()
 
 
 def test_external_timeout(tmp_path):
