@@ -299,12 +299,12 @@ def _external_spec(**overrides):
                    "target": [0.0] * 10}, "simulator bound must be finite, got inf"),
     ("calibrate", {"simulator": _external_spec(timeout=math.nan), "target": [0.0] * 10},
      "simulator timeout must be finite, got nan"),
-    ("calibrate", {"simulator": _external_spec(timeout=-1.0), "target": [0.0] * 10},
-     "simulator timeout must be positive, got -1.0"),
     ("calibrate", {"simulator": _external_spec(time_grid=list(range(1, 10)) + [math.nan]),
                    "target": [0.0] * 10}, "time grid must be finite"),
     ("calibrate", {"epsilon": 10 ** 400}, "epsilon must be finite, got 1000"),
     ("calibrate", {"alpha": 1e308}, "alpha must be in (0, 10], got 1e+308"),
+    ("calibrate", {"simulator": _external_spec(timeout=-1.0), "target": [0.0] * 10},
+     "simulator timeout must be positive, got -1.0"),
 ])
 def test_mistyped_config_value_is_config_error(tmp_path, capsys, mode, overrides, message):
     cfg = toy_calibrate_config(tmp_path, **overrides)
