@@ -60,7 +60,9 @@ def check_number(value, name: str):
 
 @dataclass
 class MsceConfig:
-    """Knobs for a calibration run; everything else derives from the seed."""
+    """Knobs for a calibration run; everything else derives from the seed.
+    The method has no switches: the n0-point initial design is MaxPro for
+    msce_run and maximin for hm_run, both drawn on stream (seed, 0)."""
 
     n0: int
     N: int
@@ -70,9 +72,7 @@ class MsceConfig:
     epsilon: float = 1e-5
     M: int = 5000
     grid_size: int = 10_000
-    initial_design: str = "maxpro"  # maxpro | maximin | random
     design_iterations: int = 10_000
-    dps_order: str = "selection"  # selection | time
     hm_stage_cap: int = 100
     hm_stage_limit: int = 10
 
@@ -86,16 +86,12 @@ class MsceConfig:
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         check_alpha(self.alpha)
-        for name, least in (("design_iterations", 0), ("grid_size", 1),
+        for name, least in (("seed", 0), ("design_iterations", 0), ("grid_size", 1),
                             ("hm_stage_cap", 1), ("hm_stage_limit", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.M < 100:
             raise ValueError("candidate-set size M must be at least 100")
-        if self.initial_design not in ("maxpro", "maximin", "random"):
-            raise ValueError(f"unknown initial design '{self.initial_design}'")
-        if self.dps_order not in ("selection", "time"):
-            raise ValueError(f"unknown dps order '{self.dps_order}'")
 
 
 @dataclass
@@ -119,15 +115,6 @@ _MSCE_TRACE = ("iteration", "problem", "t_star", "ei", "pred_mean", "pred_sd")
 _HM_TRACE = ("stage", "im_max")
 
 
-def _initial_design(d: int, config: MsceConfig) -> np.ndarray:
-    rng = np.random.default_rng([config.seed, 0])
-    if config.initial_design == "maximin":
-        return maximin_lhd(config.n0, d, rng, config.design_iterations)
-    if config.initial_design == "maxpro":
-        return maxpro_lhd(config.n0, d, rng, config.design_iterations)
-    return random_lhd(config.n0, d, rng)
-
-
 def _is_duplicate(x: np.ndarray, X: np.ndarray) -> bool:
     return bool(np.min(np.linalg.norm(X - x, axis=1)) < DUPLICATE_TOL)
 
@@ -149,14 +136,14 @@ def _best_candidate(ei: np.ndarray, cands: np.ndarray, X: np.ndarray) -> int:
 
 def solve_scalar_contour(simulator: Simulator, t_star: int, a: float,
                          X: np.ndarray, Y: np.ndarray, budget_j: int,
-                         config: MsceConfig, problem_index: int = 1,
-                         run_log: list | None = None):
+                         config: MsceConfig, problem_index: int, run_log: list):
     """Spend budget_j runs estimating the contour g(x, t_star) = a.
 
     Each step fits a GP to the scalar responses at t_star over the current
     training set, sweeps expected improvement over a fresh candidate LHD, and
     evaluates the simulator at the best non-duplicate candidate. The full
-    series of every run is stored. Returns the augmented (X, Y).
+    series of every run is stored, and every run appends its record to
+    run_log. Returns the augmented (X, Y).
     """
     target = ContourTarget(a=a, alpha=config.alpha)
     col = t_star - 1  # DPS indices are 1-based
@@ -172,16 +159,15 @@ def solve_scalar_contour(simulator: Simulator, t_star: int, a: float,
         y_new = simulator.run(x_new)
         X = np.vstack([X, x_new])
         Y = np.vstack([Y, y_new])
-        if run_log is not None:
-            run_log.append({
-                "iteration": len(X),
-                "problem": problem_index,
-                "t_star": t_star,
-                "ei": float(ei[pick]),
-                "pred_mean": float(means[pick]),
-                "pred_sd": float(sds[pick]),
-                "x": [float(v) for v in x_new],
-            })
+        run_log.append({
+            "iteration": len(X),
+            "problem": problem_index,
+            "t_star": t_star,
+            "ei": float(ei[pick]),
+            "pred_mean": float(means[pick]),
+            "pred_sd": float(sds[pick]),
+            "x": [float(v) for v in x_new],
+        })
     return X, Y
 
 
@@ -298,19 +284,17 @@ def msce_run(simulator: Simulator, target, config: MsceConfig) -> CalibrationRes
     """Calibrate by sequential scalar contour estimation at the DPS indices.
 
     Spends exactly N simulator runs and evaluates the simulator nowhere else:
-    n0 on the initial design, m on the polish of the extracted answer
+    n0 on the initial MaxPro design, m on the polish of the extracted answer
     (flags["polish_runs"]; 1 when fewer than d + 2 runs are left), the rest
-    split evenly over the k DPS problems (earlier problems take the
-    leftovers, since they double as global exploration). The answer is the
-    best polish run.
+    split evenly over the k DPS problems, solved in knot-selection order
+    (earlier problems take the leftovers, since they double as global
+    exploration). The answer is the best polish run.
     """
     series = checked_target(target, simulator)
     d = simulator.spec.d
 
     dps_result = build_dps(series, config.k_max)
     dps = list(dps_result.dps)
-    if config.dps_order == "time":
-        dps = sorted(dps)
     k = len(dps)
     follow_up = config.N - config.n0
     if follow_up < k + 1:
@@ -322,7 +306,8 @@ def msce_run(simulator: Simulator, target, config: MsceConfig) -> CalibrationRes
     calls_before = simulator.calls
     run_log: list = []
 
-    X = _initial_design(d, config)
+    X = maxpro_lhd(config.n0, d, np.random.default_rng([config.seed, 0]),
+                   config.design_iterations)
     Y = np.vstack([simulator.run(x) for x in X])
     origins = [0] * config.n0
 

@@ -19,7 +19,7 @@ import json
 import os
 import shlex
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +74,8 @@ def _numbers(value, name: str) -> np.ndarray:
 
 
 def _build_simulator(sim) -> Simulator:
-    """A bundled simulator by name, or an external one from its spec dict."""
+    """A bundled simulator by name, or an external one from its spec dict, whose
+    command is a list of strings or a string to split like a POSIX shell."""
     if isinstance(sim, str):
         return get_simulator(sim)
     if isinstance(sim, dict):
@@ -82,6 +83,9 @@ def _build_simulator(sim) -> Simulator:
                                      "exchange_dir", "timeout"})
         if unknown:
             raise ValueError(f"unknown simulator key {unknown[0]!r}")
+        for key in ("d", "L", "bounds", "command"):
+            if key not in sim:
+                raise ValueError(f"missing simulator key {key!r}")
         exchange = (os.environ.get(EXCHANGE_DIR_ENV)
                     or sim.get("exchange_dir")
                     or "exchange")
@@ -98,21 +102,30 @@ def _build_simulator(sim) -> Simulator:
             native_bounds=[(cal.check_number(lo, "simulator bound"),
                             cal.check_number(hi, "simulator bound")) for lo, hi in bounds],
         )
-        if not sim["command"]:
+        command = sim["command"]
+        command = shlex.split(command) if isinstance(command, str) else command
+        if not (isinstance(command, list) and all(isinstance(c, str) for c in command)):
+            raise ValueError(f"simulator command must be a string or a list of strings, "
+                             f"got {command!r}")
+        if not command:
             raise ValueError("simulator command must not be empty")
-        return ExternalSimulator(spec, sim["command"], exchange,
+        return ExternalSimulator(spec, command, exchange,
                                  timeout=float(cal.check_number(sim.get("timeout", 60.0),
                                                                 "simulator timeout")))
     raise ValueError("config needs 'simulator': a name or an external command spec")
 
 
 def _check_run_keys(cfg: dict, mode: str) -> None:
-    """ValueError on a key no run reads, a mode other than this subcommand,
-    or a path that is not a string."""
+    """ValueError on a key no run reads, a key this subcommand needs and is
+    not given, a mode other than this subcommand, or a path that is not a string."""
     unknown = sorted(set(cfg) - {f.name for f in fields(cal.MsceConfig)}
                      - {"simulator", "target", "target_csv", "cutoff", "out_dir", "mode"})
     if unknown:
         raise ValueError(f"unknown config key {unknown[0]!r}")
+    required = [f.name for f in fields(cal.MsceConfig) if f.default is MISSING]
+    for key in required + (["cutoff"] if mode == "hm" else []):
+        if key not in cfg:
+            raise ValueError(f"missing config key {key!r}")
     if cfg.get("mode", mode) != mode:
         raise ValueError(f"config mode {cfg['mode']!r} does not match the {mode!r} subcommand")
     for key, where in (("target_csv", cfg), ("out_dir", cfg),
@@ -168,7 +181,7 @@ def _run_common(args, mode: str) -> int:
     if mode == "calibrate":
         result = cal.msce_run(simulator, series, config)
     else:
-        cutoff = float(cal.check_number(cfg.get("cutoff", 0.0), "cutoff"))
+        cutoff = float(cal.check_number(cfg["cutoff"], "cutoff"))
         dps = build_dps(series, config.k_max)
         result = cal.hm_run(simulator, series, dps, config.n0, cutoff, config)
 
@@ -188,7 +201,7 @@ def _run_common(args, mode: str) -> int:
 
 def _cmd_simulate(args) -> int:
     simulator = _build_simulator(args.simulator or {
-        "command": shlex.split(args.command), "d": args.d, "L": args.L,
+        "command": args.command, "d": args.d, "L": args.L,
         "bounds": [[0.0, 1.0]] * args.d, "exchange_dir": args.exchange_dir})
     inputs = read_csv(args.inputs, [f"x{k + 1}" for k in range(simulator.spec.d)])
     out_path = Path(args.out or "responses.csv")

@@ -211,22 +211,22 @@ def target_series(name: str) -> np.ndarray:
 class ExternalSimulator(Simulator):
     """Adapter running an external executable through a CSV exchange.
 
-    Protocol: each run gets a fresh subdirectory of exchange_dir, and the
-    executable runs with that subdirectory as its cwd. input.csv has header
-    x1..xd and one data row in native units, each number as its repr; the
-    executable must exit 0 within timeout seconds (> 0) and leave output.csv
-    with exactly L rows of two finite numbers, t and value, read by read_csv:
-    a header t,value is optional and blank lines are skipped. The
-    subdirectory is removed once its output parses and kept otherwise, for
-    diagnosis. The executable leads its own process group, and a timeout
-    kills the whole group.
+    command is the executable's argv, a list of strings. Protocol: each run
+    gets a fresh subdirectory of exchange_dir, and the executable runs with
+    that subdirectory as its cwd. input.csv has header x1..xd and one data
+    row in native units, each number as its repr; the executable must exit 0
+    within timeout seconds (> 0) and leave output.csv with exactly L rows of
+    two finite numbers, t and value, read by read_csv: a header t,value is
+    optional and blank lines are skipped. The subdirectory is removed once
+    its output parses and kept otherwise, for diagnosis. The executable
+    leads its own process group, and a timeout kills the whole group.
     """
 
     def __init__(self, spec: SimulatorSpec, command, exchange_dir, timeout: float = 60.0):
         if not timeout > 0:
             raise ValueError(f"simulator timeout must be positive, got {timeout!r}")
         super().__init__(spec, self._invoke)
-        self.command = [str(c) for c in (command if isinstance(command, (list, tuple)) else [command])]
+        self.command = command
         self.exchange_dir = Path(exchange_dir)
         self.timeout = timeout
 

@@ -14,7 +14,7 @@ from dyncal.calibrate import (DUPLICATE_TOL, BudgetError, MsceConfig, _best_cand
                               _is_duplicate, extract_solution, hm_run, msce_run, polish,
                               resolved_config_dict, solve_scalar_contour,
                               write_run_artifacts)
-from dyncal.designs import maximin_lhd, random_lhd
+from dyncal.designs import maximin_lhd, maxpro_lhd, random_lhd
 from dyncal.gp import fit_gp, predict_batch
 from dyncal.simulators import (EASOM_SPEC, ExternalSimulator, Simulator, SimulatorSpec,
                                bliznyuk, easom, get_simulator, harari_steinberg,
@@ -50,8 +50,6 @@ def test_config_validation():
         MsceConfig(n0=5, N=10, epsilon=0.0)
     with pytest.raises(ValueError):
         MsceConfig(n0=5, N=10, M=50)
-    with pytest.raises(ValueError):
-        MsceConfig(n0=5, N=10, initial_design="sobol")
 
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0, 10.000001, 1e308])
@@ -123,10 +121,12 @@ def test_solve_scalar_contour_zero_budget():
     config = small_config()
     X = random_lhd(5, 2, seed=0)
     Y = np.vstack([sim.run(x) for x in X])
-    X2, Y2 = solve_scalar_contour(sim, 20, 1.0, X, Y, 0, config)
+    log = []
+    X2, Y2 = solve_scalar_contour(sim, 20, 1.0, X, Y, 0, config, problem_index=1, run_log=log)
     assert np.array_equal(X2, X)
     assert np.array_equal(Y2, Y)
     assert sim.calls == 5
+    assert log == []
 
 
 def test_solve_scalar_contour_budget_and_interpolation():
@@ -186,24 +186,36 @@ def test_msce_budget_exact_and_origins():
     assert np.array_equal(result.response_at_opt, result.training_responses[best[0]])
 
 
-@pytest.mark.parametrize("design", ["maximin", "random"])
-def test_msce_initial_design_option(design):
+def test_calibrate_initial_design_is_maxpro_lhd():
+    """calibrate's one initial design is maxpro_lhd on stream (seed, 0)."""
+    config = small_config()
     sim = make_toy_simulator()
-    config = small_config(initial_design=design)
     result = msce_run(sim, toy_target(sim), config)
-    rng = np.random.default_rng([config.seed, 0])
-    expected = (maximin_lhd(config.n0, 2, rng, config.design_iterations)
-                if design == "maximin" else random_lhd(config.n0, 2, rng))
+    expected = maxpro_lhd(config.n0, 2, np.random.default_rng([config.seed, 0]),
+                          config.design_iterations)
     assert np.array_equal(result.training_inputs[:config.n0], expected)
-    assert result.budget_used == config.N
+    assert not np.array_equal(expected, maximin_lhd(
+        config.n0, 2, np.random.default_rng([config.seed, 0]), config.design_iterations))
 
 
-def test_msce_time_order_solves_knots_in_time_order():
+def test_hm_initial_design_is_maximin_lhd():
+    """hm's one initial design is maximin_lhd on stream (seed, 0)."""
+    config = small_config()
     sim = make_toy_simulator()
-    config = small_config(dps_order="time")
+    target = toy_target(sim)
+    result = hm_run(sim, target, build_dps(TargetSeries(target), 3),
+                    n0=config.n0, cutoff=1e-9, config=config)
+    expected = maximin_lhd(config.n0, 2, np.random.default_rng([config.seed, 0]),
+                           config.design_iterations)
+    assert np.array_equal(result.training_inputs[:config.n0], expected)
+
+
+def test_msce_solves_knots_in_selection_order():
+    sim = make_toy_simulator()
+    config = small_config()
     result = msce_run(sim, toy_target(sim), config)
-    knots = sorted(result.dps.dps)
-    assert knots != result.dps.dps  # the order differs from the selection order
+    knots = result.dps.dps
+    assert knots != sorted(knots)  # the selection order is not the time order
     k = len(knots)
     for rec in result.run_log:
         if rec["problem"] <= k:

@@ -31,6 +31,9 @@ def easom_target_csv(tmp_path):
     return write_series_csv(tmp_path / "target.csv", target_series("easom"))
 
 
+DROP = object()  # an override that removes its key
+
+
 def toy_calibrate_config(tmp_path, **overrides):
     cfg = {
         "simulator": "easom",
@@ -38,6 +41,7 @@ def toy_calibrate_config(tmp_path, **overrides):
         "design_iterations": 200, "k_max": 3,
     }
     cfg.update(overrides)
+    cfg = {key: value for key, value in cfg.items() if value is not DROP}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
@@ -281,7 +285,7 @@ def test_external_simulator_without_target_is_config_error(tmp_path, capsys):
 def _external_spec(**overrides):
     spec = {"command": ["true"], "d": 2, "L": 10, "bounds": [[0, 1], [0, 1]]}
     spec.update(overrides)
-    return spec
+    return {key: value for key, value in spec.items() if value is not DROP}
 
 
 @pytest.mark.parametrize("mode,overrides,message", [
@@ -305,6 +309,14 @@ def _external_spec(**overrides):
     ("calibrate", {"alpha": 1e308}, "alpha must be in (0, 10], got 1e+308"),
     ("calibrate", {"simulator": _external_spec(timeout=-1.0), "target": [0.0] * 10},
      "simulator timeout must be positive, got -1.0"),
+    ("calibrate", {"seed": -1}, "seed must be >= 0, got -1"),
+    ("hm", {"seed": -2, "cutoff": 0.5}, "seed must be >= 0, got -2"),
+    ("calibrate", {"simulator": _external_spec(command=7), "target": [0.0] * 10},
+     "simulator command must be a string or a list of strings, got 7"),
+    ("calibrate", {"simulator": _external_spec(command=["true", 7]), "target": [0.0] * 10},
+     "simulator command must be a string or a list of strings, got ['true', 7]"),
+    ("calibrate", {"simulator": _external_spec(command="'./my sim"), "target": [0.0] * 10},
+     "No closing quotation"),
 ])
 def test_mistyped_config_value_is_config_error(tmp_path, capsys, mode, overrides, message):
     cfg = toy_calibrate_config(tmp_path, **overrides)
@@ -327,6 +339,21 @@ def test_mistyped_config_value_is_config_error(tmp_path, capsys, mode, overrides
     ("calibrate", {"mode": "hm"}, "config mode 'hm' does not match the 'calibrate' subcommand"),
     ("calibrate", {"simulator": _external_spec(timout=5), "target": [0.0] * 10},
      "unknown simulator key 'timout'"),
+    ("calibrate", {"n0": DROP}, "missing config key 'n0'"),
+    ("calibrate", {"N": DROP}, "missing config key 'N'"),
+    ("hm", {"n0": DROP, "cutoff": 0.5}, "missing config key 'n0'"),
+    ("hm", {"N": DROP, "cutoff": 0.5}, "missing config key 'N'"),
+    ("hm", {}, "missing config key 'cutoff'"),
+    ("calibrate", {"simulator": _external_spec(d=DROP), "target": [0.0] * 10},
+     "missing simulator key 'd'"),
+    ("calibrate", {"simulator": _external_spec(L=DROP), "target": [0.0] * 10},
+     "missing simulator key 'L'"),
+    ("calibrate", {"simulator": _external_spec(bounds=DROP), "target": [0.0] * 10},
+     "missing simulator key 'bounds'"),
+    ("calibrate", {"simulator": _external_spec(command=DROP), "target": [0.0] * 10},
+     "missing simulator key 'command'"),
+    ("calibrate", {"initial_design": "maxpro"}, "unknown config key 'initial_design'"),
+    ("calibrate", {"dps_order": "selection"}, "unknown config key 'dps_order'"),
 ])
 def test_config_key_error_is_config_error(tmp_path, capsys, mode, overrides, message):
     cfg = toy_calibrate_config(tmp_path, **overrides)
@@ -352,6 +379,33 @@ def test_config_json_replays_the_run(tmp_path, mode, overrides):
     assert names == sorted(p.name for p in replay.iterdir())
     match, mismatch, errors = filecmp.cmpfiles(first, replay, names, shallow=False)
     assert (mismatch, errors) == ([], [])
+
+
+def test_negative_seed_flag_is_config_error(tmp_path, capsys, monkeypatch):
+    made = []
+    monkeypatch.setattr(cli, "get_simulator", lambda name: made.append(get_simulator(name))
+                        or made[-1])
+    cfg = toy_calibrate_config(tmp_path)
+    rc = cli.main(["calibrate", cfg, "--seed", "-1", "--out-dir", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    assert "config error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert [sim.calls for sim in made] == [0]
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_command_string_is_split_like_a_shell(tmp_path, monkeypatch):
+    """A config's command string is split as `simulate --command` splits it:
+    an interpreter and a quoted script path with a space are two words."""
+    monkeypatch.delenv(cli.EXCHANGE_DIR_ENV, raising=False)
+    script = tmp_path / "my sims" / "const_sim.py"
+    script.parent.mkdir()
+    script.write_text('open("output.csv", "w").write("t,value\\n1,2.5\\n2,-1.5\\n")\n')
+    command = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+    sim = cli._build_simulator({"command": command, "d": 1, "L": 2, "bounds": [[0, 1]],
+                                "exchange_dir": str(tmp_path / "xchg")})
+    assert sim.command == [sys.executable, str(script)]
+    assert sim.run([0.5]).tolist() == [2.5, -1.5]
+    assert list((tmp_path / "xchg").iterdir()) == []
 
 
 def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys):
