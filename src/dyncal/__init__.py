@@ -6,15 +6,14 @@ scalar contour estimations driven by expected improvement over a kriging
 surrogate. A history-matching baseline is included for comparison.
 """
 
-from .acquisition import (ContourTarget, expected_improvement, implausibility,
-                          implausibility_max)
+from .acquisition import ContourTarget, expected_improvement, implausibility_max
 from .calibrate import (BudgetError, CalibrationResult, MsceConfig,
                         extract_solution, hm_run, msce_run,
                         solve_scalar_contour, write_run_artifacts)
 from .designs import maximin_lhd, maxpro_lhd, random_lhd
 from .gp import FitError, GpModel, build_gp_model, fit_gp, predict_batch
-from .metrics import (ConstantTargetError, NormD, evaluate_all,
-                      nash_sutcliffe, norm_d, r_squared, rmse)
+from .metrics import (ConstantTargetError, NormD, evaluate_all, norm_d,
+                      r_squared, rmse)
 from .simulators import (ExternalSimulator, ProcessError, ProtocolError,
                          Simulator, SimulatorSpec, SimulatorTimeout, bliznyuk,
                          easom, get_simulator, harari_steinberg,

@@ -27,10 +27,10 @@ def check_alpha(alpha):
 
 @dataclass
 class ContourTarget:
-    """Target level a with credibility multiplier alpha (0.67 ~ 50% band)."""
+    """Target level a with credibility multiplier alpha (MsceConfig.alpha in a run)."""
 
     a: float
-    alpha: float = 0.67
+    alpha: float
 
     def __post_init__(self):
         check_alpha(self.alpha)
@@ -72,30 +72,18 @@ def expected_improvement(pred_mean, pred_sd, target: ContourTarget):
     return float(out[0]) if scalar else out
 
 
-def implausibility(pred_mean, pred_sd, target_value):
-    """Standardized distance |ghat - g0| / s.
+def implausibility_max(pred_means, pred_sds, target_values):
+    """Max over the DPS of the standardized distances |ghat - g0| / s.
 
-    Below the sd floor the ratio is taken as 0 for an (effectively) exact
-    match and +inf otherwise, so interpolated training points never divide
-    by zero.
+    pred_means/pred_sds: arrays of shape (k, m) for m candidates;
+    target_values: length-k targets. Returns a length-m array. Below the sd
+    floor a distance is taken as 0 for an (effectively) exact match and +inf
+    otherwise, so interpolated training points never divide by zero.
     """
-    mean = np.asarray(pred_mean, dtype=float)
-    sd = np.asarray(pred_sd, dtype=float)
-    scalar = mean.ndim == 0 and sd.ndim == 0
-    mean, sd = np.atleast_1d(mean), np.atleast_1d(sd)
-    mean, sd = np.broadcast_arrays(mean, sd)
-    num = np.abs(mean - target_value)
+    sd = np.asarray(pred_sds, dtype=float)
+    num = np.abs(np.asarray(pred_means, dtype=float)
+                 - np.asarray(target_values, dtype=float)[:, None])
     tiny = sd < IM_SD_FLOOR
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(tiny, np.where(num < IM_SD_FLOOR, 0.0, np.inf), num / np.where(tiny, 1.0, sd))
-    return float(out[0]) if scalar else out
-
-
-def implausibility_max(pred_means, pred_sds, target_values):
-    """Max of the per-index implausibilities over the DPS.
-
-    pred_means/pred_sds: arrays of shape (k, m) for m candidates;
-    target_values: length-k targets. Returns a length-m array.
-    """
-    targets = np.asarray(target_values, dtype=float)
-    return np.max(implausibility(pred_means, pred_sds, targets[:, None]), axis=0)
+    return np.max(out, axis=0)

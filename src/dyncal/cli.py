@@ -52,10 +52,22 @@ def _read_series_csv(path) -> TargetSeries:
         raise InputError(f"{path}: {exc}")
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; ValueError on a repeated key, where json keeps the last."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"duplicate config key {key!r}")
+        out[key] = value
+    return out
+
+
 def _load_config(path) -> dict:
+    """The config JSON, a leading UTF-8 byte-order mark dropped and no key repeated
+    at any depth."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, encoding="utf-8-sig") as fh:
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:

@@ -33,7 +33,7 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_lhd(n: int, d: int, seed=None) -> np.ndarray:
+def random_lhd(n: int, d: int, seed) -> np.ndarray:
     """Random Latin hypercube design: n points in [0,1]^d.
 
     Each dimension gets an independent random permutation of the n strata,
@@ -269,7 +269,7 @@ def _exchange_optimize(points, criterion, rng, iterations):
     return best
 
 
-def maximin_lhd(n: int, d: int, seed=None, iterations: int = 10_000) -> np.ndarray:
+def maximin_lhd(n: int, d: int, seed, iterations: int) -> np.ndarray:
     """LHD optimized to maximize the minimum pairwise distance.
 
     Starts from a random LHD and improves it by column swaps; the result's
@@ -283,7 +283,7 @@ def maximin_lhd(n: int, d: int, seed=None, iterations: int = 10_000) -> np.ndarr
     return _exchange_optimize(start, "maximin", rng, iterations)
 
 
-def maxpro_lhd(n: int, d: int, seed=None, iterations: int = 10_000) -> np.ndarray:
+def maxpro_lhd(n: int, d: int, seed, iterations: int) -> np.ndarray:
     """LHD optimized to minimize the maximum projection criterion. A Generator
     given as seed must be a PCG64 one."""
     if n < 2:

@@ -71,13 +71,9 @@ def norm_d(g_hat, g0) -> NormD:
     return NormD(ratio=ratio, log=math.log(ratio), perfect=False)
 
 
-def nash_sutcliffe(g_hat, g0) -> float:
-    """Nash-Sutcliffe efficiency 1 - ratio; 1 for a perfect match."""
-    return 1.0 - norm_d(g_hat, g0).ratio
-
-
 def evaluate_all(g_hat, g0) -> dict:
-    """Bundle of all measures, JSON-ready (None/inf-safe)."""
+    """Bundle of all measures, JSON-ready (None/inf-safe). "nse" is the
+    Nash-Sutcliffe efficiency 1 - normd_ratio, 1 for a perfect match."""
     nd = norm_d(g_hat, g0)
     return {
         "rmse": rmse(g_hat, g0),

@@ -43,12 +43,13 @@ class InputError(Exception):
 def read_csv(path, names: list[str]) -> np.ndarray:
     """The numbers of a CSV file as an (n, len(names)) float array.
 
-    Blank lines are skipped. The first other line is a header, and skipped,
-    when its cells are `names` up to case and surrounding spaces. Every other
-    line must hold len(names) finite numbers; an error names its file line.
+    A leading UTF-8 byte-order mark (Excel's "CSV UTF-8") is dropped and blank
+    lines are skipped. The first other line is a header, and skipped, when its
+    cells are `names` up to case and surrounding spaces. Every other line must
+    hold len(names) finite numbers; an error names its file line.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             lines = [(i, row) for i, row in enumerate(csv.reader(fh), start=1) if row]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"cannot read {path}: {exc}")

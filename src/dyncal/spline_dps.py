@@ -292,12 +292,22 @@ def _insertion_scores(y: np.ndarray, knots: list[int], free: np.ndarray) -> np.n
     return np.maximum(rss - gain, 0.0) / L
 
 
+class CubicTargetError(ValueError):
+    """A cubic without knots fits the target series exactly, so no knot lowers its MSE."""
+
+
 def greedy_knot_search(series: TargetSeries, k_max: int):
     """Select up to k_max knots, each minimizing the MSE given its predecessors.
 
     Admissible positions are the interior indices {2, ..., L-1} not already
     chosen; ties go to the smallest index. Returns (ordered_knots, mse_path)
     where mse_path[0] is the knot-free cubic fit.
+
+    ValueError unless 1 <= k_max <= L - 5. CubicTargetError when the knot-free
+    fit already reaches the shortlist's absolute slack: on a constant, linear
+    or cubic series every score ties within it, so every stage would refit
+    every index and return knots chosen by rounding. The checks run in that
+    order: k_max >= 1, the cubic fit, then k_max <= L - 5.
 
     Each stage scores every admissible index at once (`_insertion_scores`),
     then refits with `fit_cubic_spline` every index whose score lies within
@@ -306,26 +316,19 @@ def greedy_knot_search(series: TargetSeries, k_max: int):
     smallest exact MSE, the smallest index among equal ones, and that exact
     MSE enters mse_path, so the result is that of refitting every index.
     """
-    return _knot_stages(series, k_max, fit_cubic_spline(series, []).mse)
-
-
-def _scan_floor(y: np.ndarray) -> float:
-    """The shortlist's absolute slack: scores closer than this tie."""
-    return _SHORTLIST_FLOOR * float(np.mean(y * y))
-
-
-def _knot_stages(series: TargetSeries, k_max: int, base_mse: float):
-    """`greedy_knot_search` from the MSE of the knot-free fit, base_mse."""
-    L = len(series)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    y = series.values
+    floor = _SHORTLIST_FLOOR * float(np.mean(y * y))
+    mse_path = [fit_cubic_spline(series, []).mse]
+    if mse_path[0] <= floor:
+        raise CubicTargetError("target series is fit exactly by a cubic without knots "
+                               "(constant, linear or cubic), so no knot can lower its MSE")
+    L = len(series)
     if k_max > L - 5:
         raise ValueError(f"k_max={k_max} exceeds {L - 5}, the fit limit for length {L}")
 
-    y = series.values
-    floor = _scan_floor(y)
     knots: list[int] = []
-    mse_path = [base_mse]
     for _ in range(k_max):
         free = np.setdiff1d(np.arange(2, L), knots)
         scores = _insertion_scores(y, knots, free)
@@ -366,25 +369,16 @@ K_MAX_DEFAULT = 10
 K_MAX_LEAST = 2  # the elbow cut compares the MSE after at least two knot counts
 
 
-class CubicTargetError(ValueError):
-    """A cubic without knots fits the target series exactly, so no knot lowers its MSE."""
-
-
 def build_dps(series: TargetSeries, k_max: int = K_MAX_DEFAULT) -> DpsResult:
     """Full pipeline: greedy knot sequence, MSE path, elbow cut.
 
-    ValueError unless K_MAX_LEAST <= k_max <= len(series) - 5. CubicTargetError
-    when the knot-free fit already reaches the scan's absolute slack: on a
-    constant, linear or cubic series every score ties within it, so every
-    stage would refit every index and return knots chosen by rounding.
+    ValueError unless k_max >= K_MAX_LEAST, the least the elbow cut reads.
+    The other refusals, k_max above L - 5 and the CubicTargetError of a
+    series that a knot-free cubic fits, are `greedy_knot_search`'s.
     """
     if k_max < K_MAX_LEAST:
         raise ValueError(f"k_max must be at least {K_MAX_LEAST}, got {k_max}")
-    base_mse = fit_cubic_spline(series, []).mse
-    if base_mse <= _scan_floor(series.values):
-        raise CubicTargetError("target series is fit exactly by a cubic without knots "
-                               "(constant, linear or cubic), so no knot can lower its MSE")
-    ordered, path = _knot_stages(series, k_max, base_mse)
+    ordered, path = greedy_knot_search(series, k_max)
     k, warned = select_k_elbow(path)
     return DpsResult(ordered_knots=ordered, mse_path=path, k_selected=k,
                      elbow_warning=warned)

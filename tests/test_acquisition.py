@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyncal.acquisition import (ContourTarget, expected_improvement,
-                                implausibility, implausibility_max)
+from dyncal.acquisition import ContourTarget, expected_improvement, implausibility_max
 
 
 def improvement(y: float, pred_sd: float, target: ContourTarget) -> float:
@@ -47,7 +46,7 @@ def test_improvement_half_band():
 
 def test_improvement_rejects_negative_sd():
     with pytest.raises(ValueError):
-        improvement(0.0, -1.0, ContourTarget(a=0.0))
+        improvement(0.0, -1.0, ContourTarget(a=0.0, alpha=0.67))
 
 
 def test_contour_target_validation():
@@ -56,7 +55,7 @@ def test_contour_target_validation():
 
 
 def test_ei_zero_sd():
-    target = ContourTarget(a=3.0)
+    target = ContourTarget(a=3.0, alpha=0.67)
     assert expected_improvement(5.0, 0.0, target) == 0.0
     assert expected_improvement(3.0, 0.0, target) == 0.0
 
@@ -94,7 +93,7 @@ def test_ei_numerically_stable_in_far_tail():
 
 
 def test_ei_decays_to_zero_with_distance():
-    target = ContourTarget(a=0.0)
+    target = ContourTarget(a=0.0, alpha=0.67)
     vals = [expected_improvement(m, 1.0, target) for m in (0.0, 1.0, 2.0, 5.0, 10.0)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1e-20
@@ -114,12 +113,17 @@ def test_ei_scaling_invariance(yhat, s, a, alpha):
 
 
 def test_ei_vectorized_matches_scalar():
-    target = ContourTarget(a=0.5)
+    target = ContourTarget(a=0.5, alpha=0.67)
     means = np.array([0.0, 0.5, 1.2, 3.0])
     sds = np.array([1.0, 0.0, 0.3, 2.0])
     vec = expected_improvement(means, sds, target)
     for i in range(4):
         assert vec[i] == expected_improvement(float(means[i]), float(sds[i]), target)
+
+
+def implausibility(mean, sd, target):
+    """The implausibility of one candidate at one DPS index."""
+    return float(implausibility_max([[mean]], [[sd]], [target])[0])
 
 
 def test_implausibility_basic():
@@ -159,3 +163,13 @@ def test_implausibility_max_batched():
     assert out.shape == (2,)
     assert out[0] == 0.0
     assert out[1] == 1.0
+
+
+def test_implausibility_max_mixes_the_sd_floor_with_ordinary_ratios():
+    """Below the sd floor an exact match counts 0 and a miss inf; above it the
+    ratio counts, and the max over the DPS takes whichever is largest."""
+    means = np.array([[2.0, 2.5, 5.0], [1.0, 3.0, 1.0]])  # (k=2, m=3)
+    sds = np.array([[0.0, 1e-13, 2.0], [0.5, 1.0, 0.0]])
+    targets = np.array([2.0, 1.0])
+    out = implausibility_max(means, sds, targets)
+    assert out.tolist() == [0.0, np.inf, 1.5]

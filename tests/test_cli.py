@@ -34,6 +34,19 @@ def easom_target_csv(tmp_path):
 DROP = object()  # an override that removes its key
 
 
+class Twice(tuple):
+    """An override that writes its key twice, with these two values in turn."""
+
+
+def _config_text(value) -> str:
+    """json.dumps, except that a Twice value writes its key twice at any depth."""
+    if not isinstance(value, dict):
+        return json.dumps(value)
+    return "{" + ", ".join(f"{json.dumps(key)}: {_config_text(one)}"
+                           for key, each in value.items()
+                           for one in (each if isinstance(each, Twice) else (each,))) + "}"
+
+
 def toy_calibrate_config(tmp_path, **overrides):
     cfg = {
         "simulator": "easom",
@@ -43,7 +56,7 @@ def toy_calibrate_config(tmp_path, **overrides):
     cfg.update(overrides)
     cfg = {key: value for key, value in cfg.items() if value is not DROP}
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(_config_text(cfg))
     return str(path)
 
 
@@ -145,6 +158,22 @@ def test_blank_first_line_is_not_data(tmp_path, easom_target_csv):
     assert cli.main(["simulate", "--simulator", "easom", str(inputs), "--out", str(out)]) == 0
     col1 = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
     assert col1 == target_series("easom").tolist()
+
+
+def test_byte_order_mark_is_dropped(tmp_path, easom_target_csv):
+    """Excel's "CSV UTF-8" starts a file with a UTF-8 byte-order mark: a target
+    or a config with one reads as it does without."""
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(easom_target_csv).read_bytes())
+    for name, path in (("plain", easom_target_csv), ("bom", bom)):
+        assert cli.main(["dps", str(path), "--k-max", "3", "--out-dir",
+                         str(tmp_path / f"dps_{name}")]) == 0
+    assert ((tmp_path / "dps_plain" / "dps.json").read_bytes()
+            == (tmp_path / "dps_bom" / "dps.json").read_bytes())
+    cfg = Path(toy_calibrate_config(tmp_path))
+    cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+    assert cli.main(["calibrate", str(cfg), "--out-dir", str(tmp_path / "run")]) == 0
+    assert json.loads((tmp_path / "run" / "config.json").read_text())["N"] == 12
 
 
 def test_hm_target_length_checked_before_the_knot_scan(tmp_path, capsys, monkeypatch):
@@ -354,6 +383,9 @@ def test_mistyped_config_value_is_config_error(tmp_path, capsys, mode, overrides
      "missing simulator key 'command'"),
     ("calibrate", {"initial_design": "maxpro"}, "unknown config key 'initial_design'"),
     ("calibrate", {"dps_order": "selection"}, "unknown config key 'dps_order'"),
+    ("calibrate", {"N": Twice((50, 12))}, "duplicate config key 'N'"),
+    ("calibrate", {"simulator": _external_spec(d=Twice((2, 2))), "target": [0.0] * 10},
+     "duplicate config key 'd'"),
 ])
 def test_config_key_error_is_config_error(tmp_path, capsys, mode, overrides, message):
     cfg = toy_calibrate_config(tmp_path, **overrides)

@@ -59,13 +59,13 @@ def test_random_lhd_stratification(n, d, seed):
 
 def test_rejects_empty():
     with pytest.raises(ValueError):
-        random_lhd(0, 2)
+        random_lhd(0, 2, seed=0)
     with pytest.raises(ValueError):
-        random_lhd(2, 0)
+        random_lhd(2, 0, seed=0)
     with pytest.raises(ValueError):
-        maximin_lhd(1, 2)
+        maximin_lhd(1, 2, seed=0, iterations=10)
     with pytest.raises(ValueError):
-        maxpro_lhd(1, 2)
+        maxpro_lhd(1, 2, seed=0, iterations=10)
 
 
 def test_same_seed_bit_identical():

@@ -658,7 +658,8 @@ def test_first_fit_binds_scipy_routines():
         X = np.random.default_rng(0).uniform(size=(8, 2))
         gp.fit_gp(X, np.sin(3.0 * X[:, 0]) + X[:, 1])
         assert "scipy.special" not in sys.modules
-        acquisition.expected_improvement([0.1, 0.4], [0.2, 0.3], acquisition.ContourTarget(0.0))
+        target = acquisition.ContourTarget(0.0, 0.67)
+        acquisition.expected_improvement([0.1, 0.4], [0.2, 0.3], target)
         import scipy.linalg.lapack
         print(gp.dpotrf is scipy.linalg.lapack.dpotrf, gp.dtrtrs is scipy.linalg.lapack.dtrtrs,
               "scipy.special" in sys.modules)

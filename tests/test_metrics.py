@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyncal.metrics import (ConstantTargetError, evaluate_all, nash_sutcliffe,
-                            norm_d, r_squared, rmse)
+from dyncal.metrics import ConstantTargetError, evaluate_all, norm_d, r_squared, rmse
 
 
 def test_rmse_identical_series():
@@ -82,7 +81,7 @@ def test_norm_d_constant_mean_predictor():
     nd = norm_d(g_hat, g0)
     assert nd.ratio == pytest.approx(1.0)
     assert nd.log == pytest.approx(0.0)
-    assert nash_sutcliffe(g_hat, g0) == pytest.approx(0.0)
+    assert evaluate_all(g_hat, g0)["nse"] == pytest.approx(0.0)
 
 
 def test_norm_d_perfect_match_flagged():
@@ -91,7 +90,7 @@ def test_norm_d_perfect_match_flagged():
     assert nd.ratio == 0.0
     assert nd.log == -math.inf
     assert nd.perfect
-    assert nash_sutcliffe(g0, g0) == 1.0
+    assert evaluate_all(g0, g0)["nse"] == 1.0
 
 
 def test_norm_d_matches_direct_arithmetic():
@@ -114,7 +113,7 @@ def test_nse_identity_with_norm_d():
     g0 = rng.normal(size=25)
     g_hat = g0 + rng.normal(scale=0.3, size=25)
     nd = norm_d(g_hat, g0)
-    assert nash_sutcliffe(g_hat, g0) == pytest.approx(1.0 - math.exp(nd.log), rel=1e-12)
+    assert evaluate_all(g_hat, g0)["nse"] == pytest.approx(1.0 - math.exp(nd.log), rel=1e-12)
 
 
 def test_evaluate_all_payload():

@@ -219,11 +219,13 @@ def test_external_bad_header(tmp_path):
 @pytest.mark.parametrize("text", [
     "1,7.25\n2,7.25\n3,7.25\n4,7.25\n5,7.25\n",
     "T , Value\n\n1,7.25\n2,7.25\n3,7.25\n4,7.25\n5,7.25\n\n",
-], ids=["no-header", "blank-lines"])
+    "\ufefft,value\n1,7.25\n2,7.25\n3,7.25\n4,7.25\n5,7.25\n",
+], ids=["no-header", "blank-lines", "byte-order-mark"])
 def test_external_output_is_read_like_every_csv(tmp_path, text):
-    """The header is optional and case-insensitive, and blank lines are skipped."""
+    """The header is optional and case-insensitive, blank lines are skipped and
+    a leading UTF-8 byte-order mark is dropped."""
     exe = _write_executable(tmp_path / "sim.py", f"""
-        with open("output.csv", "w") as fh:
+        with open("output.csv", "w", encoding="utf-8") as fh:
             fh.write({text!r})
     """)
     sim = ExternalSimulator(_tiny_spec(), [exe], tmp_path / "xchg")

@@ -194,6 +194,10 @@ def _scan_series(kind, L, seed):
 def test_greedy_scan_matches_brute_force(kind, L, k_frac, seed):
     k_max = 1 + int(k_frac * (min(6, L - 5) - 1))
     series = TargetSeries(_scan_series(kind, L, seed))
+    if kind == "constant":  # every index ties, so the scan refuses the series
+        with pytest.raises(CubicTargetError):
+            greedy_knot_search(series, k_max)
+        return
     knots, path = greedy_knot_search(series, k_max)
     ref_knots, ref_path = _brute_force_scan(series, k_max)
     assert knots == ref_knots
@@ -316,6 +320,18 @@ def test_build_dps_refuses_a_series_a_cubic_fits_exactly(monkeypatch, values):
                         lambda *a: fits.append(a) or counted(*a))
     with pytest.raises(CubicTargetError, match="fit exactly by a cubic without knots"):
         build_dps(TargetSeries(values), k_max=3)
+    assert len(fits) == 1
+
+
+def test_greedy_scan_refuses_a_linear_series_after_one_fit(monkeypatch):
+    """Without the refusal each stage would refit all 1998 indices, about 2 s
+    at L = 2000, and return knots that rounding picks."""
+    fits = []
+    counted = fit_cubic_spline
+    monkeypatch.setattr(spline_dps, "fit_cubic_spline",
+                        lambda *a: fits.append(a) or counted(*a))
+    with pytest.raises(CubicTargetError, match="fit exactly by a cubic without knots"):
+        greedy_knot_search(TargetSeries(0.25 * np.arange(2000.0) - 7.0), 2)
     assert len(fits) == 1
 
 
