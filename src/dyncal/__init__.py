@@ -8,8 +8,7 @@ surrogate. A history-matching baseline is included for comparison.
 
 from .acquisition import ContourTarget, expected_improvement, implausibility_max
 from .calibrate import (BudgetError, CalibrationResult, MsceConfig,
-                        extract_solution, hm_run, msce_run,
-                        solve_scalar_contour, write_run_artifacts)
+                        extract_solution, hm_run, msce_run, write_run_artifacts)
 from .designs import maximin_lhd, maxpro_lhd, random_lhd
 from .gp import FitError, GpModel, build_gp_model, fit_gp, predict_batch
 from .metrics import (ConstantTargetError, NormD, evaluate_all, norm_d,

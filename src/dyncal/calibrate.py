@@ -12,8 +12,11 @@ target series:
   sufficiently plausible test point per stage until nothing plausible is left
   or the stage limit is hit.
 
-Both are deterministic for a fixed config seed: every random draw comes from
-a stream derived from (seed, purpose, index).
+Every simulator run of both goes through one ledger, _Runs: it runs the
+initial design, pays each later run (training row, origin and trace record
+together) and builds the result, budget_used included. Both are
+deterministic for a fixed config seed: every random draw comes from a stream
+derived from (seed, purpose, index).
 """
 from __future__ import annotations
 
@@ -115,8 +118,52 @@ _MSCE_TRACE = ("iteration", "problem", "t_star", "ei", "pred_mean", "pred_sd")
 _HM_TRACE = ("stage", "im_max")
 
 
+def _duplicate_row(x: np.ndarray, X: np.ndarray) -> int | None:
+    """The nearest row of X if it lies within DUPLICATE_TOL of x, else None."""
+    dist = np.linalg.norm(X - x, axis=1)
+    row = int(np.argmin(dist))
+    return row if dist[row] < DUPLICATE_TOL else None
+
+
 def _is_duplicate(x: np.ndarray, X: np.ndarray) -> bool:
-    return bool(np.min(np.linalg.norm(X - x, axis=1)) < DUPLICATE_TOL)
+    return _duplicate_row(x, X) is not None
+
+
+class _Runs:
+    """The ledger of a calibration's paid simulator runs. The constructor
+    runs the initial design (origin 0, no trace record); every later run is
+    paid through pay, which stores its input and series as the next training
+    row, its origin and its trace record, in call order. So trace record i is
+    training row n0 + i, and result reads budget_used off simulator.calls."""
+
+    def __init__(self, simulator: Simulator, design: np.ndarray):
+        self.simulator = simulator
+        self.calls_before = simulator.calls
+        self.X = design
+        self.Y = np.vstack([simulator.run(x) for x in design])
+        self.origins = [0] * len(design)
+        self.log: list = []
+
+    def pay(self, x: np.ndarray, origin: int, record: dict) -> int:
+        """Run the simulator at x and record the run; its training row."""
+        y = self.simulator.run(x)
+        self.X = np.vstack([self.X, x])
+        self.Y = np.vstack([self.Y, y])
+        self.origins.append(origin)
+        self.log.append({**record, "x": [float(v) for v in x]})
+        return len(self.X) - 1
+
+    def result(self, best: int, target: np.ndarray, dps: DpsResult, flags: dict,
+               solution_sets: list | None, trace_columns: tuple) -> CalibrationResult:
+        """The CalibrationResult whose answer is training row best."""
+        x_opt, response_at_opt = self.X[best], self.Y[best]
+        return CalibrationResult(
+            training_inputs=self.X, training_responses=self.Y, dps=dps, x_opt=x_opt,
+            solution_sets=solution_sets, metrics=evaluate_all(response_at_opt, target),
+            run_log=self.log, flags=flags,
+            budget_used=self.simulator.calls - self.calls_before, origins=self.origins,
+            response_at_opt=response_at_opt, target=target, trace_columns=trace_columns,
+        )
 
 
 def _best_candidate(ei: np.ndarray, cands: np.ndarray, X: np.ndarray) -> int:
@@ -134,41 +181,29 @@ def _best_candidate(ei: np.ndarray, cands: np.ndarray, X: np.ndarray) -> int:
     raise RuntimeError("all candidates duplicate existing training points")
 
 
-def solve_scalar_contour(simulator: Simulator, t_star: int, a: float,
-                         X: np.ndarray, Y: np.ndarray, budget_j: int,
-                         config: MsceConfig, problem_index: int, run_log: list):
-    """Spend budget_j runs estimating the contour g(x, t_star) = a.
+def solve_scalar_contour(runs: _Runs, t_star: int, a: float, budget_j: int,
+                         config: MsceConfig, problem_index: int) -> None:
+    """Pay budget_j runs into runs, estimating the contour g(x, t_star) = a.
 
     Each step fits a GP to the scalar responses at t_star over the current
     training set, sweeps expected improvement over a fresh candidate LHD, and
-    evaluates the simulator at the best non-duplicate candidate. The full
-    series of every run is stored, and every run appends its record to
-    run_log. Returns the augmented (X, Y).
+    pays a run at the best non-duplicate candidate, with origin problem_index
+    and its EI, predicted mean and sd in the trace record.
     """
     target = ContourTarget(a=a, alpha=config.alpha)
     col = t_star - 1  # DPS indices are 1-based
     for _ in range(budget_j):
-        model = fit_gp(X, Y[:, col])
-        rng = np.random.default_rng([config.seed, 1, len(X)])
-        cands = random_lhd(config.M, X.shape[1], rng)
+        model = fit_gp(runs.X, runs.Y[:, col])
+        rng = np.random.default_rng([config.seed, 1, len(runs.X)])
+        cands = random_lhd(config.M, runs.X.shape[1], rng)
         means, s2 = predict_batch(model, cands)
         sds = np.sqrt(s2)
         ei = expected_improvement(means, sds, target)
-        pick = _best_candidate(ei, cands, X)
-        x_new = cands[pick]
-        y_new = simulator.run(x_new)
-        X = np.vstack([X, x_new])
-        Y = np.vstack([Y, y_new])
-        run_log.append({
-            "iteration": len(X),
-            "problem": problem_index,
-            "t_star": t_star,
-            "ei": float(ei[pick]),
-            "pred_mean": float(means[pick]),
-            "pred_sd": float(sds[pick]),
-            "x": [float(v) for v in x_new],
-        })
-    return X, Y
+        pick = _best_candidate(ei, cands, runs.X)
+        runs.pay(cands[pick], problem_index, {
+            "iteration": len(runs.X) + 1, "problem": problem_index, "t_star": t_star,
+            "ei": float(ei[pick]), "pred_mean": float(means[pick]),
+            "pred_sd": float(sds[pick])})
 
 
 def extract_solution(models: list[GpModel], targets: list[float], config: MsceConfig):
@@ -182,7 +217,7 @@ def extract_solution(models: list[GpModel], targets: list[float], config: MsceCo
     empty. Returns (x, per-surrogate solution sets, flags).
     """
     d = models[0].d
-    grid = np.vstack([
+    grid = np.concatenate([
         random_lhd(config.grid_size, d, np.random.default_rng([config.seed, 2])),
         models[0].X,
     ])
@@ -201,36 +236,30 @@ def extract_solution(models: list[GpModel], targets: list[float], config: MsceCo
     return grid[int(np.argmin(score))], solution_sets, flags
 
 
-def polish(simulator: Simulator, g0: np.ndarray, x0: np.ndarray, X: np.ndarray,
-           Y: np.ndarray, runs: int, run_log: list, problem: int):
-    """Spend exactly `runs` runs on a Levenberg-Marquardt descent of the real
-    misfit sum((g(x) - g0)^2) from x0 in [0, 1]^d. Returns (X, Y, the row of
-    the incumbent: the polish point of least misfit). A polish point that
-    repeats a training input (x0, say) reuses its stored series, so with
-    runs = 1 the run goes to x0, or else to the first difference. Forward
-    differences (step h = 0.01, inward at the upper bound) at the incumbent
-    give J; each step, damped by lam * diag(J'J) (floored for zero columns;
+def polish(runs: _Runs, g0: np.ndarray, x0: np.ndarray, m: int, problem: int) -> int:
+    """Pay exactly m runs into runs, with origin problem, on a
+    Levenberg-Marquardt descent of the real misfit sum((g(x) - g0)^2) from
+    x0 in [0, 1]^d. Returns the training row of the incumbent: the polish
+    point of least misfit. A polish point that repeats a training input (x0,
+    say) reuses its stored series, so with m = 1 the run goes to x0, or else
+    to the first difference. Forward differences (step h = 0.01, inward at
+    the upper bound) at the incumbent give J; each step, damped by lam * diag(J'J) (floored for zero columns;
     lam from 1e-3, /3 on a lower misfit, *4 otherwise) and clipped to the
     box, costs a run and updates J by Broyden's rule. A step that repeats a
     training input is not run: the differences are taken afresh with h
-    halved. Runs are logged with t_star 0 and no surrogate values."""
-    d = X.shape[1]
-    n_before = len(X)
-    rows, misfits = [], []  # the polish points as rows of X, and their real misfits
+    halved. Runs are traced with t_star 0 and no surrogate values."""
+    d = runs.X.shape[1]
+    n_before = len(runs.X)
+    rows, misfits = [], []  # the polish points as training rows, and their real misfits
 
     def evaluate(x):
-        nonlocal X, Y
-        dist = np.linalg.norm(X - x, axis=1)
-        row = int(np.argmin(dist))
-        if dist[row] >= DUPLICATE_TOL:
-            row = len(X)
-            X = np.vstack([X, x])
-            Y = np.vstack([Y, simulator.run(x)])
-            run_log.append({"iteration": len(X), "problem": problem, "t_star": 0,
-                            "ei": np.nan, "pred_mean": np.nan, "pred_sd": np.nan,
-                            "x": [float(v) for v in x]})
+        row = _duplicate_row(x, runs.X)
+        if row is None:
+            row = runs.pay(x, problem, {
+                "iteration": len(runs.X) + 1, "problem": problem, "t_star": 0,
+                "ei": np.nan, "pred_mean": np.nan, "pred_sd": np.nan})
         rows.append(row)
-        misfits.append(float(np.sum((Y[row] - g0) ** 2)))
+        misfits.append(float(np.sum((runs.Y[row] - g0) ** 2)))
 
     def incumbent():
         return rows[int(np.argmin(misfits))]
@@ -238,34 +267,34 @@ def polish(simulator: Simulator, g0: np.ndarray, x0: np.ndarray, X: np.ndarray,
     def difference_jacobian(h):
         b = incumbent()
         for j in range(d):
-            if len(X) - n_before == runs:
+            if len(runs.X) - n_before == m:
                 return
-            x = X[b].copy()
+            x = runs.X[b].copy()
             x[j] += h if x[j] + h <= 1.0 else -h
             evaluate(x)
-            J[:, j] = (Y[rows[-1]] - Y[b]) / (x[j] - X[b, j])
+            J[:, j] = (runs.Y[rows[-1]] - runs.Y[b]) / (x[j] - runs.X[b, j])
 
     evaluate(np.asarray(x0, dtype=float))
-    J = np.empty((Y.shape[1], d))
+    J = np.empty((runs.Y.shape[1], d))
     h, lam = 0.01, 1e-3
     difference_jacobian(h)
-    while len(X) - n_before < runs:
+    while len(runs.X) - n_before < m:
         b, f_b = incumbent(), min(misfits)
         JtJ = J.T @ J
         scale = np.maximum(np.diag(JtJ), 1e-12 * np.max(np.diag(JtJ)) + 1e-300)
-        delta = np.linalg.solve(JtJ + lam * np.diag(scale), J.T @ (g0 - Y[b]))
-        x = np.clip(X[b] + delta, 0.0, 1.0)
-        if _is_duplicate(x, X):
+        delta = np.linalg.solve(JtJ + lam * np.diag(scale), J.T @ (g0 - runs.Y[b]))
+        x = np.clip(runs.X[b] + delta, 0.0, 1.0)
+        if _is_duplicate(x, runs.X):
             h /= 2.0
             if h < 1e-9:
                 raise RuntimeError("polish steps and probes all repeat training inputs")
             difference_jacobian(h)
             continue
         evaluate(x)
-        s = X[-1] - X[b]
-        J += np.outer(Y[-1] - Y[b] - J @ s, s) / (s @ s)
+        s = runs.X[-1] - runs.X[b]
+        J += np.outer(runs.Y[-1] - runs.Y[b] - J @ s, s) / (s @ s)
         lam = lam / 3.0 if misfits[-1] < f_b else lam * 4.0
-    return X, Y, incumbent()
+    return incumbent()
 
 
 def checked_target(target, simulator: Simulator) -> TargetSeries:
@@ -303,40 +332,23 @@ def msce_run(simulator: Simulator, target, config: MsceConfig) -> CalibrationRes
     m = min(2 * (d + 1), follow_up - k)  # polish runs: a start, d differences, steps
     m = m if m >= d + 2 else 1  # too few to descend: one run evaluates the answer
 
-    calls_before = simulator.calls
-    run_log: list = []
-
-    X = maxpro_lhd(config.n0, d, np.random.default_rng([config.seed, 0]),
-                   config.design_iterations)
-    Y = np.vstack([simulator.run(x) for x in X])
-    origins = [0] * config.n0
-
+    runs = _Runs(simulator, maxpro_lhd(config.n0, d, np.random.default_rng([config.seed, 0]),
+                                       config.design_iterations))
     base, rem = divmod(follow_up - m, k)
     for j, t_star in enumerate(dps, start=1):
-        budget_j = base + (1 if j <= rem else 0)
-        a = float(series.values[t_star - 1])
-        X, Y = solve_scalar_contour(simulator, t_star, a, X, Y, budget_j,
-                                    config, problem_index=j, run_log=run_log)
-        origins.extend([j] * budget_j)
+        solve_scalar_contour(runs, t_star, float(series.values[t_star - 1]),
+                             base + (1 if j <= rem else 0), config, problem_index=j)
 
-    models = [fit_gp(X, Y[:, t - 1]) for t in dps]
+    models = [fit_gp(runs.X, runs.Y[:, t - 1]) for t in dps]
     targets = [float(series.values[t - 1]) for t in dps]
     x_opt, solution_sets, flags = extract_solution(models, targets, config)
     flags["polish_runs"] = m
-    X, Y, best = polish(simulator, series.values, x_opt, X, Y, m, run_log, k + 1)
-    origins.extend([k + 1] * m)
-    x_opt, response_at_opt = X[best], Y[best]
+    best = polish(runs, series.values, x_opt, m, k + 1)
 
-    used = simulator.calls - calls_before
+    result = runs.result(best, series.values, dps_result, flags, solution_sets, _MSCE_TRACE)
+    used = result.budget_used
     assert used == config.N, f"budget accounting broken: {used} != {config.N}"
-    metrics = evaluate_all(response_at_opt, series.values)
-
-    return CalibrationResult(
-        training_inputs=X, training_responses=Y, dps=dps_result, x_opt=x_opt,
-        solution_sets=solution_sets, metrics=metrics, run_log=run_log,
-        flags=flags, budget_used=used, origins=origins,
-        response_at_opt=response_at_opt, target=series.values, trace_columns=_MSCE_TRACE,
-    )
+    return result
 
 
 def hm_run(simulator: Simulator, target, dps: DpsResult, n0: int, cutoff: float,
@@ -356,16 +368,10 @@ def hm_run(simulator: Simulator, target, dps: DpsResult, n0: int, cutoff: float,
     indices = list(dps.dps)
     targets = np.array([series.values[t - 1] for t in indices])
 
-    calls_before = simulator.calls
-    run_log: list = []
-
-    X = maximin_lhd(n0, spec.d, np.random.default_rng([config.seed, 0]),
-                    config.design_iterations)
-    Y = np.vstack([simulator.run(x) for x in X])
-    origins = [0] * n0
-
+    runs = _Runs(simulator, maximin_lhd(n0, spec.d, np.random.default_rng([config.seed, 0]),
+                                        config.design_iterations))
     for stage in range(1, config.hm_stage_limit + 1):
-        models = [fit_gp(X, Y[:, t - 1]) for t in indices]
+        models = [fit_gp(runs.X, runs.Y[:, t - 1]) for t in indices]
         rng = np.random.default_rng([config.seed, 3, stage])
         test = random_lhd(config.M, spec.d, rng)
         means, s2 = MeanBank(models).predict(test)
@@ -376,35 +382,16 @@ def hm_run(simulator: Simulator, target, dps: DpsResult, n0: int, cutoff: float,
         for idx in order:
             if added >= config.hm_stage_cap or im[idx] > cutoff:
                 break
-            x_new = test[idx]
-            if _is_duplicate(x_new, X):
+            if _is_duplicate(test[idx], runs.X):
                 continue
-            y_new = simulator.run(x_new)
-            X = np.vstack([X, x_new])
-            Y = np.vstack([Y, y_new])
-            origins.append(stage)
-            run_log.append({
-                "stage": stage,
-                "im_max": float(im[idx]),
-                "x": [float(v) for v in x_new],
-            })
+            runs.pay(test[idx], stage, {"stage": stage, "im_max": float(im[idx])})
             added += 1
         if added == 0:
             break
 
-    scores = np.sum((Y[:, [t - 1 for t in indices]] - targets) ** 2, axis=1)
-    best = int(np.argmin(scores))
-    x_opt = X[best]
-    response_at_opt = Y[best]
-    metrics = evaluate_all(response_at_opt, series.values)
-
-    return CalibrationResult(
-        training_inputs=X, training_responses=Y, dps=dps, x_opt=x_opt,
-        solution_sets=None, metrics=metrics, run_log=run_log,
-        flags={"cutoff": cutoff}, budget_used=simulator.calls - calls_before,
-        origins=origins, response_at_opt=response_at_opt, target=series.values,
-        trace_columns=_HM_TRACE,
-    )
+    scores = np.sum((runs.Y[:, [t - 1 for t in indices]] - targets) ** 2, axis=1)
+    return runs.result(int(np.argmin(scores)), series.values, dps, {"cutoff": cutoff},
+                       None, _HM_TRACE)
 
 
 def write_responses(path, times: list, runs: list) -> None:

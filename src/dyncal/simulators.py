@@ -88,6 +88,9 @@ class SimulatorSpec:
     native_bounds: list[tuple[float, float]]
 
     def __post_init__(self):
+        for name in ("d", "L"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"simulator {name} must be >= 1, got {getattr(self, name)}")
         self.time_grid = np.asarray(self.time_grid, dtype=float)
         if len(self.time_grid) != self.L:
             raise ValueError("time grid length does not match L")

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from conftest import make_toy_simulator, toy_response
 from dyncal.acquisition import ContourTarget
 from dyncal.calibrate import (DUPLICATE_TOL, BudgetError, MsceConfig, _best_candidate,
-                              _is_duplicate, extract_solution, hm_run, msce_run, polish,
-                              resolved_config_dict, solve_scalar_contour,
+                              _is_duplicate, _Runs, extract_solution, hm_run, msce_run,
+                              polish, resolved_config_dict, solve_scalar_contour,
                               write_run_artifacts)
 from dyncal.designs import maximin_lhd, maxpro_lhd, random_lhd
 from dyncal.gp import fit_gp, predict_batch
@@ -120,29 +120,32 @@ def test_solve_scalar_contour_zero_budget():
     sim = make_toy_simulator()
     config = small_config()
     X = random_lhd(5, 2, seed=0)
-    Y = np.vstack([sim.run(x) for x in X])
-    log = []
-    X2, Y2 = solve_scalar_contour(sim, 20, 1.0, X, Y, 0, config, problem_index=1, run_log=log)
-    assert np.array_equal(X2, X)
-    assert np.array_equal(Y2, Y)
+    runs = _Runs(sim, X)
+    assert solve_scalar_contour(runs, 20, 1.0, 0, config, problem_index=1) is None
+    assert np.array_equal(runs.X, X)
+    assert np.array_equal(runs.Y, [toy_target(sim, x) for x in X])
     assert sim.calls == 5
-    assert log == []
+    assert runs.origins == [0] * 5
+    assert runs.log == []
 
 
 def test_solve_scalar_contour_budget_and_interpolation():
     sim = make_toy_simulator()
     config = small_config()
     target = toy_target(sim)
-    X = random_lhd(6, 2, seed=1)
-    Y = np.vstack([sim.run(x) for x in X])
-    log = []
-    X2, Y2 = solve_scalar_contour(sim, 20, float(target[19]), X, Y, 3, config,
-                                  problem_index=1, run_log=log)
+    runs = _Runs(sim, random_lhd(6, 2, seed=1))
+    solve_scalar_contour(runs, 20, float(target[19]), 3, config, problem_index=1)
+    X2, Y2, log = runs.X, runs.Y, runs.log
     assert X2.shape == (9, 2)
     assert Y2.shape == (9, sim.spec.L)
     assert sim.calls == 9
     assert len(log) == 3
     assert all(rec["t_star"] == 20 for rec in log)
+    # trace record i is the paid run at training row 6 + i
+    assert [rec["iteration"] for rec in log] == [7, 8, 9]
+    assert all(rec["problem"] == 1 and rec["x"] == X2[6 + i].tolist()
+               for i, rec in enumerate(log))
+    assert runs.origins == [0] * 6 + [1] * 3
     # the refit surrogate interpolates every response, new points included
     model = fit_gp(X2, Y2[:, 19])
     means, s2 = predict_batch(model, X2)
@@ -394,11 +397,11 @@ def misfit(y, g0):
 
 
 def polish_case(seed, target_x=(0.62, 0.31), n=8):
-    """A toy simulator after n design runs, and the target series at target_x."""
+    """A toy simulator, the ledger of its n design runs, and the target
+    series at target_x."""
     sim = make_toy_simulator()
-    X = random_lhd(n, 2, seed=seed)
-    Y = np.vstack([sim.run(x) for x in X])
-    return sim, toy_target(sim, target_x), X, Y
+    runs = _Runs(sim, random_lhd(n, 2, seed=seed))
+    return sim, runs, toy_target(sim, target_x)
 
 
 @pytest.mark.parametrize("x0, target_x", [
@@ -408,19 +411,21 @@ def polish_case(seed, target_x=(0.62, 0.31), n=8):
     ((0.9, 0.5), (1.4, 0.2)),  # the best input lies outside the box: steps are clipped
     ((0.2, 0.2), (-0.3, 1.3)),
 ])
-@pytest.mark.parametrize("runs", [4, 7])
-def test_polish_invariants(x0, target_x, runs):
-    sim, g0, X, Y = polish_case(4, target_x)
+@pytest.mark.parametrize("m", [4, 7])
+def test_polish_invariants(x0, target_x, m):
+    sim, runs, g0 = polish_case(4, target_x)
+    X, Y = runs.X, runs.Y
     n = len(X)
-    log = []
-    X2, Y2, best = polish(sim, g0, np.array(x0), X, Y, runs, log, problem=4)
-    # exactly `runs` new runs, each stored with its real series and logged
-    assert sim.calls == n + runs and len(X2) == n + runs
+    best = polish(runs, g0, np.array(x0), m, problem=4)
+    X2, Y2, log = runs.X, runs.Y, runs.log
+    # exactly m new runs, each stored with its real series and traced
+    assert sim.calls == n + m and len(X2) == n + m
     assert np.array_equal(X2[:n], X) and np.array_equal(Y2[:n], Y)
-    assert all(np.array_equal(Y2[i], toy_target(sim, X2[i])) for i in range(n, n + runs))
-    assert [rec["iteration"] for rec in log] == list(range(n + 1, n + runs + 1))
+    assert all(np.array_equal(Y2[i], toy_target(sim, X2[i])) for i in range(n, n + m))
+    assert [rec["iteration"] for rec in log] == list(range(n + 1, n + m + 1))
     assert all(rec["problem"] == 4 and rec["t_star"] == 0 and np.isnan(rec["ei"])
                and rec["x"] == X2[n + i].tolist() for i, rec in enumerate(log))
+    assert runs.origins == [0] * n + [4] * m
     # inside the box, and no input within DUPLICATE_TOL of another
     assert np.all((X2 >= 0.0) & (X2 <= 1.0))
     dists = np.linalg.norm(X2[:, None, :] - X2[None, :, :], axis=2)
@@ -428,22 +433,26 @@ def test_polish_invariants(x0, target_x, runs):
     assert dists.min() >= DUPLICATE_TOL
     # the start is the first polish run, and the answer is the best polish run
     assert np.array_equal(X2[n], x0)
-    polish_misfits = [misfit(Y2[i], g0) for i in range(n, n + runs)]
+    polish_misfits = [misfit(Y2[i], g0) for i in range(n, n + m)]
     assert best >= n and misfit(Y2[best], g0) == min(polish_misfits)
     assert misfit(Y2[best], g0) <= misfit(Y2[n], g0)
 
 
 def test_polish_descends_to_an_interior_solution():
-    sim, g0, X, Y = polish_case(5)
-    X2, Y2, best = polish(sim, g0, np.array([0.55, 0.4]), X, Y, 8, [], problem=2)
-    assert misfit(Y2[best], g0) < 1e-6 * misfit(Y2[len(X)], g0)
+    sim, runs, g0 = polish_case(5)
+    n = len(runs.X)
+    best = polish(runs, g0, np.array([0.55, 0.4]), 8, problem=2)
+    X2, Y2 = runs.X, runs.Y
+    assert misfit(Y2[best], g0) < 1e-6 * misfit(Y2[n], g0)
     assert np.max(np.abs(X2[best] - (0.62, 0.31))) < 1e-3
 
 
 def test_polish_from_a_training_row_spends_no_run_on_it():
-    sim, g0, X, Y = polish_case(6)
+    sim, runs, g0 = polish_case(6)
+    X, Y = runs.X, runs.Y
     start = int(np.argmin([misfit(y, g0) for y in Y]))
-    X2, Y2, best = polish(sim, g0, X[start].copy(), X, Y, 5, [], problem=2)
+    best = polish(runs, g0, X[start].copy(), 5, problem=2)
+    X2, Y2 = runs.X, runs.Y
     assert sim.calls == len(X) + 5 and len(X2) == len(X) + 5
     assert not any(np.array_equal(x, X[start]) for x in X2[len(X):])
     # the stored series of the start competes: the answer is never worse than it
@@ -458,10 +467,9 @@ def test_polish_step_onto_a_training_input_refreshes_the_differences():
     spec = SimulatorSpec(name="linear", d=2, L=10, time_grid=np.arange(10.0),
                          native_bounds=[(0.0, 1.0)] * 2)
     sim = Simulator(spec, lambda x, t: A @ np.asarray(x))
-    X = random_lhd(5, 2, seed=0)
-    Y = np.vstack([sim.run(x) for x in X])
-    X2, Y2, best = polish(sim, A @ np.array([1.5, 1.5]), np.array([0.5, 0.5]), X, Y, 9, [],
-                          problem=2)
+    runs = _Runs(sim, random_lhd(5, 2, seed=0))
+    best = polish(runs, A @ np.array([1.5, 1.5]), np.array([0.5, 0.5]), 9, problem=2)
+    X2 = runs.X
     assert sim.calls == 14
     assert np.array_equal(X2[5:], [[0.5, 0.5], [0.51, 0.5], [0.5, 0.51], [1.0, 1.0],
                                    [0.995, 1.0], [1.0, 0.995], [0.9975, 1.0], [1.0, 0.9975],

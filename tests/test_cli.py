@@ -1,3 +1,4 @@
+import csv
 import filecmp
 import json
 import math
@@ -477,6 +478,34 @@ def test_hm_run_dir_and_audit(tmp_path):
     assert result["budget_used"] == 6 + len(trace) - 1
 
 
+@pytest.mark.parametrize("mode, overrides", [
+    ("calibrate", {}),
+    ("hm", {"cutoff": 2.0, "hm_stage_cap": 4, "hm_stage_limit": 2}),
+])
+def test_trace_lines_up_with_training_rows(tmp_path, mode, overrides):
+    """Trace line i is the paid run at training row n0 + i: the same x
+    columns, byte for byte, and its problem (calibrate) or stage (hm) is
+    that row's origin."""
+    cfg = toy_calibrate_config(tmp_path, **overrides)
+    out = tmp_path / "run"
+    assert cli.main([mode, cfg, "--out-dir", str(out)]) == 0
+    n0 = 6
+    budget = json.loads((out / "result.json").read_text())["budget_used"]
+    with open(out / "training.csv", newline="") as fh:
+        training = list(csv.DictReader(fh))
+    with open(out / "trace.csv", newline="") as fh:
+        trace = list(csv.DictReader(fh))
+    assert len(training) == budget
+    assert 0 < len(trace) == budget - n0
+    for i, rec in enumerate(trace):
+        row = training[n0 + i]
+        assert [rec["x1"], rec["x2"]] == [row["x1"], row["x2"]]
+        if mode == "calibrate":
+            assert rec["iteration"] == row["order"] and rec["problem"] == row["origin"]
+        else:
+            assert rec["stage"] == row["origin"]
+
+
 def test_simulate_bundled(tmp_path):
     inputs = tmp_path / "inputs.csv"
     inputs.write_text("x1,x2\n0.8,0.2\n0.5,0.5\n")
@@ -525,6 +554,30 @@ def test_simulate_external_command(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 6
     assert all(line.endswith("3.5") for line in lines[1:])
+
+
+@pytest.mark.parametrize("flags, inputs, field", [
+    (["--d", "2", "--L", "0"], "x1,x2\n0.5,0.5\n", "L"),
+    (["--d", "0", "--L", "3"], "", "d"),
+])
+def test_simulate_refuses_a_dimension_or_length_below_one_before_any_launch(
+        tmp_path, capsys, flags, inputs, field):
+    exe = tmp_path / "logging_sim.py"
+    exe.write_text(f"#!{sys.executable}\n" + textwrap.dedent(f"""
+        with open({str(tmp_path / "launches.log")!r}, "a") as fh:
+            fh.write("launch\\n")
+        with open("output.csv", "w") as fh:
+            fh.write("t,value\\n1,0.5\\n2,0.5\\n3,0.5\\n")
+    """))
+    exe.chmod(exe.stat().st_mode | stat.S_IEXEC)
+    (tmp_path / "inputs.csv").write_text(inputs)
+    out = tmp_path / "resp.csv"
+    rc = cli.main(["simulate", "--command", str(exe), str(tmp_path / "inputs.csv"), *flags,
+                   "--exchange-dir", str(tmp_path / "xchg"), "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert f"config error: simulator {field} must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "launches.log").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("env", ["", "from_env"])
