@@ -361,7 +361,7 @@ def hm_run(simulator: Simulator, target, dps: DpsResult, n0: int, cutoff: float,
     The answer is the training point whose stored responses best match the
     target at the DPS.
     """
-    if cutoff <= 0:
+    if not cutoff > 0:  # also true for NaN, which no run's IM_max would exceed
         raise ValueError(f"implausibility cutoff must be positive, got {cutoff!r}")
     series = checked_target(target, simulator)
     spec = simulator.spec

@@ -14,10 +14,10 @@ pairs that involve them, and the cost is still taken over the whole vector:
 every cost is bit-equal to the MaxPro criterion or to minus the smallest
 pairwise distance (as `pdist` computes it) of the current design. The draws
 per iteration are fixed (a column, two rows, and an acceptance draw only for
-an uphill swap), so a seed gives the same design. They are the draws `rng.integers`, `rng.choice` and `rng.random`
-would make, computed in Python from PCG64 words read in blocks
-(`_Pcg64Draws`), and the generator is left in the state those calls would
-leave; the search therefore needs a PCG64 generator, as `default_rng` makes.
+an uphill swap), so a seed gives the same design. They are the draws
+`rng.integers`, `rng.choice` and `rng.random` would make, taken from the
+generator's own bit generator (`_bounded`), which ends in the state those
+calls would leave; any numpy `Generator` serves.
 """
 from __future__ import annotations
 
@@ -115,86 +115,20 @@ _CRITERIA = {
 }
 
 
-class _Pcg64Draws:
-    """The draws `rng.integers(high)`, `rng.choice(n, 2, replace=False)` and
-    `rng.random()` of a PCG64 `Generator`, made in Python from raw 64-bit
-    words read in blocks from a copy of its bit generator.
-
-    Each draw is the one numpy makes, bit for bit: a bounded integer is
-    Lemire's multiply-and-reject on a 32-bit draw, and a 32-bit draw is the
-    low half of a fresh word, whose high half is kept for the next one (PCG64
-    buffers it the same way); the two rows are Floyd's sample (bounds n - 2
-    and n - 1, a repeat replaced by n - 1) followed by a one-step shuffle; a
-    uniform is (word >> 11) * 2^-53. `close` advances the caller's generator
-    by the words used and restores its buffered half, so that it ends in the
-    state the numpy calls would have left. Bounds are below 2^32 - 1.
-    """
-
-    _BLOCK = 1024
-
-    def __init__(self, rng: np.random.Generator):
-        owner = rng.bit_generator
-        if type(owner) is not np.random.PCG64:
-            raise ValueError("the exchange search needs a PCG64 generator, "
-                             f"got {type(owner).__name__}")
-        state = owner.state
-        self._owner = owner
-        self._source = np.random.PCG64()
-        self._source.state = state
-        self._words: list[int] = []
-        self._pos = 0
-        self._used = 0  # words of the blocks before the current one
-        self._has_half = state["has_uint32"]
-        self._half = state["uinteger"]
-
-    def _word(self) -> int:
-        if self._pos == len(self._words):
-            self._used += self._pos
-            self._words = self._source.random_raw(self._BLOCK).tolist()
-            self._pos = 0
-        self._pos += 1
-        return self._words[self._pos - 1]
-
-    def _bounded(self, rng: int) -> int:
-        """Uniform on [0, rng]."""
-        if rng == 0:
-            return 0
-        excl = rng + 1
-        while True:
-            if self._has_half:
-                self._has_half = 0
-                u32 = self._half
-            else:
-                word = self._word()
-                self._has_half = 1
-                self._half = word >> 32
-                u32 = word & 0xFFFFFFFF
-            m = u32 * excl
-            leftover = m & 0xFFFFFFFF
-            if leftover >= excl or leftover >= (0xFFFFFFFF - rng) % excl:
-                return m >> 32
-
-    def integers(self, high: int) -> int:
-        return self._bounded(high - 1)
-
-    def two_rows(self, n: int) -> tuple[int, int]:
-        first = self._bounded(n - 2)
-        second = self._bounded(n - 1)
-        if second == first:
-            second = n - 1
-        if self._bounded(1) == 0:
-            return second, first
-        return first, second
-
-    def random(self) -> float:
-        return (self._word() >> 11) * (1.0 / 9007199254740992.0)
-
-    def close(self) -> None:
-        self._owner.advance(self._used + self._pos)
-        state = self._owner.state
-        state["has_uint32"] = self._has_half
-        state["uinteger"] = self._half
-        self._owner.state = state
+def _bounded(next_uint32, state, high: int) -> int:
+    """The draw `rng.integers(high)` makes, uniform on [0, high) for
+    1 <= high <= 2^32, from the generator's own 32-bit draws: numpy's
+    `buffered_bounded_lemire_uint32`, Lemire's multiply-and-reject (Lemire
+    2019). next_uint32 and state come from `rng.bit_generator.ctypes`. Like
+    numpy's, a draw on [0, 1) takes no bits."""
+    if high == 1:
+        return 0
+    m = next_uint32(state) * high
+    if m & 0xFFFFFFFF < high:
+        threshold = 0x100000000 % high  # numpy's (UINT32_MAX - rng) % rng_excl
+        while m & 0xFFFFFFFF < threshold:
+            m = next_uint32(state) * high
+    return m >> 32
 
 
 def _touching_pairs(n: int, i: int, j: int):
@@ -223,9 +157,9 @@ def _exchange_optimize(points, criterion, rng, iterations):
     the whole vector (its sum for MaxPro, its minimum for maximin), so every
     cost is bit-equal to that of the current design computed afresh. Each
     iteration draws `rng.integers(d)` and `rng.choice(n, 2, replace=False)`,
-    and one `rng.random()` only for an uphill proposal, all through
-    `_Pcg64Draws`: a given stream gives the same design. rng must be a PCG64
-    `Generator`.
+    and one `rng.random()` only for an uphill proposal, each bit for bit
+    through the bit generator's `next_uint32` and `next_double`: a given
+    stream gives the same design, from any numpy `Generator`.
     """
     pair_values, cost = _CRITERIA[criterion]
     current = np.array(points, dtype=float)
@@ -242,11 +176,19 @@ def _exchange_optimize(points, criterion, rng, iterations):
     decay = (tf / t0) ** (1.0 / max(iterations, 1))
     temp = t0
 
-    draws = _Pcg64Draws(rng)
+    bits = rng.bit_generator.ctypes
+    next_uint32, next_double, state = bits.next_uint32, bits.next_double, bits.state
     touching = {}
     for _ in range(iterations):
-        k = draws.integers(d)
-        i, j = draws.two_rows(n)
+        k = _bounded(next_uint32, state, d)
+        # rng.choice(n, 2, replace=False): Floyd's sample, then a one-step shuffle
+        # whose draw, bounded(2), is one 32-bit draw that Lemire never rejects;
+        # it is made but not applied, since a swap of rows i and j is one of j and i
+        i = _bounded(next_uint32, state, n - 1)
+        j = _bounded(next_uint32, state, n)
+        if j == i:
+            j = n - 1
+        next_uint32(state)
         key = i * n + j if i < j else j * n + i
         pairs = touching.get(key)
         if pairs is None:
@@ -256,7 +198,7 @@ def _exchange_optimize(points, criterion, rng, iterations):
         old = values.take(positions)
         values[positions] = pair_values(current.take(ends, 0) - current.take(others, 0))
         new_cost = cost(values, d)
-        if new_cost <= cur_cost or draws.random() < np.exp(-(new_cost - cur_cost) / temp):
+        if new_cost <= cur_cost or next_double(state) < np.exp(-(new_cost - cur_cost) / temp):
             cur_cost = new_cost
             if new_cost < best_cost:
                 best_cost = new_cost
@@ -265,7 +207,6 @@ def _exchange_optimize(points, criterion, rng, iterations):
             current[i, k], current[j, k] = current[j, k], current[i, k]  # undo
             values[positions] = old
         temp *= decay
-    draws.close()
     return best
 
 
@@ -273,8 +214,8 @@ def maximin_lhd(n: int, d: int, seed, iterations: int) -> np.ndarray:
     """LHD optimized to maximize the minimum pairwise distance.
 
     Starts from a random LHD and improves it by column swaps; the result's
-    minimum distance is never below the starting design's. A Generator given
-    as seed must be a PCG64 one.
+    minimum distance is never below the starting design's. seed may be any
+    numpy Generator.
     """
     if n < 2:
         raise ValueError("maximin design needs n >= 2 (min distance undefined)")
@@ -284,8 +225,8 @@ def maximin_lhd(n: int, d: int, seed, iterations: int) -> np.ndarray:
 
 
 def maxpro_lhd(n: int, d: int, seed, iterations: int) -> np.ndarray:
-    """LHD optimized to minimize the maximum projection criterion. A Generator
-    given as seed must be a PCG64 one."""
+    """LHD optimized to minimize the maximum projection criterion. seed may be
+    any numpy Generator."""
     if n < 2:
         raise ValueError("MaxPro design needs n >= 2")
     rng = _rng(seed)

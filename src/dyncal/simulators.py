@@ -98,11 +98,15 @@ class SimulatorSpec:
             raise ValueError("time grid must be finite")
         if np.any(np.diff(self.time_grid) <= 0):
             raise ValueError("time grid must be strictly increasing")
-        for lo, hi in self.native_bounds:
-            if not lo < hi:
-                raise ValueError(f"bad native bounds ({lo}, {hi})")
-        self._lo = np.array([b[0] for b in self.native_bounds])
-        self._hi = np.array([b[1] for b in self.native_bounds])
+        try:
+            bounds = np.array(self.native_bounds, dtype=float)
+        except (TypeError, ValueError):  # ragged or not numbers
+            bounds = np.empty(0)
+        if (bounds.shape != (self.d, 2) or not np.isfinite(bounds).all()
+                or not (bounds[:, 0] < bounds[:, 1]).all()):
+            raise ValueError(f"simulator bounds must be {self.d} [low, high] pairs, "
+                             f"got {self.native_bounds!r}")
+        self._lo, self._hi = bounds[:, 0], bounds[:, 1]
 
     def unscale(self, x_scaled) -> np.ndarray:
         """Map a point from [0,1]^d to native units."""

@@ -1,4 +1,5 @@
 import json
+import math
 import stat
 import sys
 import textwrap
@@ -547,12 +548,16 @@ def test_hm_augments_and_audits():
                           result.training_inputs[np.argmin(scores)])
 
 
-def test_hm_rejects_bad_cutoff():
+@pytest.mark.parametrize("cutoff", [0.0, -1.0, math.nan])
+def test_hm_rejects_bad_cutoff(cutoff):
     sim = make_toy_simulator()
     target = toy_target(sim)
     dps = build_dps(TargetSeries(target), 3)
-    with pytest.raises(ValueError):
-        hm_run(sim, target, dps, n0=6, cutoff=0.0, config=small_config())
+    # small stages, so that a cutoff let through fails fast instead of paying 1000 runs
+    config = small_config(hm_stage_cap=3, hm_stage_limit=2)
+    with pytest.raises(ValueError, match="cutoff must be positive"):
+        hm_run(sim, target, dps, n0=6, cutoff=cutoff, config=config)
+    assert sim.calls == 0
 
 
 def test_write_run_artifacts(tmp_path):

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from dyncal import designs
-from dyncal.designs import (_exchange_optimize, _inverse_products, _maxpro_cost,
-                            _pair_indices, _Pcg64Draws, _squared_distances, maximin_lhd,
-                            maxpro_lhd, random_lhd)
+from dyncal.designs import (_bounded, _exchange_optimize, _inverse_products, _maxpro_cost,
+                            _pair_indices, _squared_distances, maximin_lhd, maxpro_lhd,
+                            random_lhd)
 
 
 def is_latin_hypercube(points: np.ndarray) -> bool:
@@ -203,35 +203,40 @@ def test_min_pairwise_distance_bit_equal_to_pdist(n, d, seed, scale, digits):
     assert got == float(pdist(points).min())
 
 
+def _next_draws(rng):
+    """The generator's next 32-bit draws and uniform, to compare end states of
+    any bit generator (their state dicts may hold arrays)."""
+    return rng.integers(2**32, size=4).tolist(), rng.random()
+
+
 @given(seed=st.integers(0, 2**31), buffered=st.booleans(),
-       calls=st.lists(st.tuples(st.sampled_from(["integers", "two_rows", "random"]),
-                                st.sampled_from([1, 2, 3, 7, 2**31 + 1, 3 * 2**30, 2**32 - 2])),
+       bit_generator=st.sampled_from([np.random.PCG64, np.random.MT19937]),
+       highs=st.lists(st.sampled_from([1, 2, 3, 7, 2**31 + 1, 3 * 2**30, 2**32 - 2, 2**32]),
                       max_size=60))
 @settings(max_examples=100, deadline=None)
-def test_block_draws_match_numpy(seed, buffered, calls):
-    # large bounds make Lemire's rejection step frequent
-    ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    if buffered:
+def test_bounded_draws_match_numpy(seed, buffered, bit_generator, highs):
+    # large bounds make Lemire's rejection step frequent; 2^32 is numpy's unbounded draw
+    ref, rng = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+    if buffered:  # PCG64 then holds the high half of a word for the next 32-bit draw
         ref.integers(5)
         rng.integers(5)
-    draws = _Pcg64Draws(rng)
-    for kind, bound in calls:
-        if kind == "integers":
-            assert draws.integers(bound) == ref.integers(bound)
-        elif kind == "two_rows" and bound >= 2:
-            assert draws.two_rows(bound) == tuple(ref.choice(bound, 2, replace=False))
-        elif kind == "random":
-            assert draws.random() == ref.random()
-    draws.close()
-    assert rng.bit_generator.state == ref.bit_generator.state
+    bits = rng.bit_generator.ctypes
+    for high in highs:
+        assert _bounded(bits.next_uint32, bits.state, high) == ref.integers(high)
+    assert _next_draws(rng) == _next_draws(ref)
 
 
-def test_exchange_search_rejects_other_bit_generators():
-    rng = np.random.Generator(np.random.MT19937(0))
-    with pytest.raises(ValueError, match="PCG64"):
-        _exchange_optimize(_grid_3x2(), "maximin", rng, 10)
-    with pytest.raises(ValueError, match="PCG64"):
-        maxpro_lhd(5, 2, seed=rng, iterations=10)
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox,
+                                           np.random.SFC64, np.random.PCG64DXSM])
+@pytest.mark.parametrize("criterion", ["maximin", "maxpro"])
+@pytest.mark.parametrize("n,d", [(2, 1), (9, 3)])
+def test_exchange_search_on_any_bit_generator(bit_generator, criterion, n, d):
+    cost = {"maximin": _maximin_cost, "maxpro": maxpro_criterion}[criterion]
+    ref, rng = np.random.Generator(bit_generator(3)), np.random.Generator(bit_generator(3))
+    want = _reference_exchange(random_lhd(n, d, ref), cost, ref, 400)
+    got = _exchange_optimize(random_lhd(n, d, rng), criterion, rng, 400)
+    assert np.array_equal(got, want)
+    assert _next_draws(rng) == _next_draws(ref)
 
 
 def test_maxpro_criterion_infinite_on_shared_coordinate():

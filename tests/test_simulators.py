@@ -115,6 +115,12 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SimulatorSpec(name="bad", d=1, L=2, time_grid=[0.0, 1.0],
                       native_bounds=[(2.0, 1.0)])
+    # one pair for two inputs, and an unbounded side, would unscale to nonsense
+    with pytest.raises(ValueError, match=r"simulator bounds must be 2 \[low, high\] pairs"):
+        SimulatorSpec(name="x", d=2, L=3, time_grid=[1, 2, 3], native_bounds=[(0.0, 1.0)])
+    with pytest.raises(ValueError, match=r"simulator bounds must be 1 \[low, high\] pairs"):
+        SimulatorSpec(name="x", d=1, L=3, time_grid=[1, 2, 3],
+                      native_bounds=[(-math.inf, 1.0)])
 
 
 # -- external process adapter --------------------------------------------------
