@@ -21,8 +21,6 @@ derived from (seed, purpose, index).
 from __future__ import annotations
 
 import json
-import numbers
-import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -33,7 +31,7 @@ from .acquisition import (ContourTarget, check_alpha, expected_improvement,
 from .designs import maximin_lhd, maxpro_lhd, random_lhd
 from .gp import GpModel, MeanBank, fit_gp, predict_batch
 from .metrics import ConstantTargetError, evaluate_all
-from .simulators import Simulator, write_csv
+from .simulators import Simulator, check_integer, check_number, write_csv
 from .spline_dps import K_MAX_DEFAULT, DpsResult, TargetSeries, build_dps
 
 DUPLICATE_TOL = 1e-10
@@ -41,24 +39,6 @@ DUPLICATE_TOL = 1e-10
 
 class BudgetError(ValueError):
     """Simulator-run budget cannot cover the run as configured."""
-
-
-def check_integer(value, name: str):
-    """value itself; ValueError unless it is an integer (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def check_number(value, name: str):
-    """value itself; ValueError unless it is a real number (a bool is not)
-    that is finite as a float: JSON's NaN and Infinity are refused, and so is
-    an integer beyond the float range."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:  # also false for NaN
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 @dataclass
@@ -359,9 +339,10 @@ def hm_run(simulator: Simulator, target, dps: DpsResult, n0: int, cutoff: float,
     every plausible point (IM_max <= cutoff), nearest-to-zero first, up to the
     per-stage cap. Stops when a stage adds nothing or the stage limit is hit.
     The answer is the training point whose stored responses best match the
-    target at the DPS.
+    target at the DPS. cutoff must be a finite number above 0.
     """
-    if not cutoff > 0:  # also true for NaN, which no run's IM_max would exceed
+    cutoff = float(check_number(cutoff, "cutoff"))
+    if cutoff <= 0:
         raise ValueError(f"implausibility cutoff must be positive, got {cutoff!r}")
     series = checked_target(target, simulator)
     spec = simulator.spec

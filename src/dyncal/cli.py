@@ -10,19 +10,22 @@ Subcommands:
 Exit codes: 0 success, 1 unexpected error, 2 invalid config or budget,
 3 surrogate fit failure, 4 external-simulator process/protocol failure (an
 unreadable or malformed output.csv included), 5 unreadable or malformed
-input file.
+input file, or an output path that cannot be written.
+
+The checks here are about JSON itself: unknown, missing and repeated keys,
+the mode and path strings. Every rule on a value is the library's: the
+simulator spec, command and timeout are checked by SimulatorSpec and
+ExternalSimulator, the target by TargetSeries, the cutoff by hm_run and the
+other numbers by MsceConfig.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
-import shlex
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
-
-import numpy as np
 
 from . import calibrate as cal
 from .gp import FitError
@@ -74,82 +77,59 @@ def _load_config(path) -> dict:
         raise InputError(f"{path}: invalid JSON: {exc}")
 
 
-def _numbers(value, name: str) -> np.ndarray:
-    """A flat list of numbers as a float array."""
-    try:
-        out = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
-    if out.ndim != 1:
-        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
-    return out
+def _check_keys(obj: dict, kind: str, allowed, required, paths) -> None:
+    """ValueError on a key of obj outside allowed, a required key it lacks, or
+    a key of paths whose value is not a path string."""
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {kind} key {unknown[0]!r}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"missing {kind} key {key!r}")
+    for key in paths:
+        if not isinstance(obj.get(key, ""), str):
+            raise ValueError(f"{key} must be a path string, got {obj[key]!r}")
+
+
+def _writable(path, file: bool = False) -> Path:
+    """path as a Path; InputError unless the output can be written: an output
+    file must not be a directory and its directory must be one, and the first
+    of an output directory and its ancestors that exists must be a directory
+    (the rest is made when the run directory is written). Creates nothing."""
+    path = Path(path)
+    if file and path.is_dir():
+        raise InputError(f"cannot write {path}: it is a directory")
+    here = path.parent if file else next(p for p in (path, *path.parents) if p.exists())
+    if not here.is_dir():
+        raise InputError(f"cannot write {path}: {here} is not a directory")
+    return path
 
 
 def _build_simulator(sim) -> Simulator:
-    """A bundled simulator by name, or an external one from its spec dict, whose
-    command is a list of strings or a string to split like a POSIX shell."""
+    """A bundled simulator by name, or an external one from its spec dict, run
+    in $DYNCAL_EXCHANGE_DIR, else the spec's exchange_dir, else ./exchange."""
     if isinstance(sim, str):
         return get_simulator(sim)
-    if isinstance(sim, dict):
-        unknown = sorted(set(sim) - {"name", "d", "L", "bounds", "time_grid", "command",
-                                     "exchange_dir", "timeout"})
-        if unknown:
-            raise ValueError(f"unknown simulator key {unknown[0]!r}")
-        for key in ("d", "L", "bounds", "command"):
-            if key not in sim:
-                raise ValueError(f"missing simulator key {key!r}")
-        exchange = (os.environ.get(EXCHANGE_DIR_ENV)
-                    or sim.get("exchange_dir")
-                    or "exchange")
-        d = cal.check_integer(sim["d"], "simulator d")
-        L = cal.check_integer(sim["L"], "simulator L")
-        bounds = sim["bounds"]
-        if (not isinstance(bounds, list) or len(bounds) != d
-                or not all(isinstance(b, list) and len(b) == 2 for b in bounds)):
-            raise ValueError(f"simulator bounds must be {d} [low, high] pairs, got {bounds!r}")
-        spec = SimulatorSpec(
-            name=sim.get("name", "external"), d=d, L=L,
-            time_grid=_numbers(sim.get("time_grid", list(range(1, L + 1))),
-                               "simulator time_grid"),
-            native_bounds=[(cal.check_number(lo, "simulator bound"),
-                            cal.check_number(hi, "simulator bound")) for lo, hi in bounds],
-        )
-        command = sim["command"]
-        command = shlex.split(command) if isinstance(command, str) else command
-        if not (isinstance(command, list) and all(isinstance(c, str) for c in command)):
-            raise ValueError(f"simulator command must be a string or a list of strings, "
-                             f"got {command!r}")
-        if not command:
-            raise ValueError("simulator command must not be empty")
-        return ExternalSimulator(spec, command, exchange,
-                                 timeout=float(cal.check_number(sim.get("timeout", 60.0),
-                                                                "simulator timeout")))
-    raise ValueError("config needs 'simulator': a name or an external command spec")
+    if not isinstance(sim, dict):
+        raise ValueError("config needs 'simulator': a name or an external command spec")
+    required = ("d", "L", "bounds", "command")
+    _check_keys(sim, "simulator", required + ("name", "time_grid", "exchange_dir", "timeout"),
+                required, ["exchange_dir"])
+    spec = SimulatorSpec(name=sim.get("name", "external"), d=sim["d"], L=sim["L"],
+                         time_grid=sim.get("time_grid"), native_bounds=sim["bounds"])
+    exchange = os.environ.get(EXCHANGE_DIR_ENV) or sim.get("exchange_dir") or "exchange"
+    return ExternalSimulator(spec, sim["command"], exchange, timeout=sim.get("timeout", 60.0))
 
 
 def _check_run_keys(cfg: dict, mode: str) -> None:
     """ValueError on a key no run reads, a key this subcommand needs and is
-    not given, a mode other than this subcommand, or a path that is not a string."""
-    unknown = sorted(set(cfg) - {f.name for f in fields(cal.MsceConfig)}
-                     - {"simulator", "target", "target_csv", "cutoff", "out_dir", "mode"})
-    if unknown:
-        raise ValueError(f"unknown config key {unknown[0]!r}")
-    required = [f.name for f in fields(cal.MsceConfig) if f.default is MISSING]
-    for key in required + (["cutoff"] if mode == "hm" else []):
-        if key not in cfg:
-            raise ValueError(f"missing config key {key!r}")
+    not given, a path that is not a string, or a mode other than this subcommand."""
+    _check_keys(cfg, "config", [f.name for f in fields(cal.MsceConfig)]
+                + ["simulator", "target", "target_csv", "cutoff", "out_dir", "mode"],
+                [f.name for f in fields(cal.MsceConfig) if f.default is MISSING]
+                + (["cutoff"] if mode == "hm" else []), ["target_csv", "out_dir"])
     if cfg.get("mode", mode) != mode:
         raise ValueError(f"config mode {cfg['mode']!r} does not match the {mode!r} subcommand")
-    for key, where in (("target_csv", cfg), ("out_dir", cfg),
-                       ("exchange_dir", cfg.get("simulator"))):
-        value = where.get(key, "") if isinstance(where, dict) else ""
-        if not isinstance(value, str):
-            raise ValueError(f"{key} must be a path string, got {value!r}")
-
-
-def _msce_config(cfg: dict) -> cal.MsceConfig:
-    return cal.MsceConfig(**{f.name: cfg[f.name] for f in fields(cal.MsceConfig)
-                             if f.name in cfg})
 
 
 def _cmd_dps(args) -> int:
@@ -159,11 +139,11 @@ def _cmd_dps(args) -> int:
         raise InputError(f"{args.target}: dps needs a series of at least {least} rows, "
                          f"got {len(series)}")
     k_max = min(K_MAX_DEFAULT, len(series) - 5) if args.k_max is None else args.k_max
+    out = _writable(args.out_dir)
     try:
         result = build_dps(series, k_max=k_max)
     except CubicTargetError as exc:
         raise InputError(f"{args.target}: {exc}")
-    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cal.write_json(out / "dps.json", result.to_dict())
     write_csv(out / "mse_path.csv", ["knots", "mse"], enumerate(result.mse_path.tolist()))
@@ -179,9 +159,10 @@ def _run_common(args, mode: str) -> int:
     if args.seed is not None:
         cfg["seed"] = args.seed
     simulator = _build_simulator(cfg.get("simulator"))
-    config = _msce_config(cfg)
+    config = cal.MsceConfig(**{f.name: cfg[f.name] for f in fields(cal.MsceConfig)
+                               if f.name in cfg})
     if "target" in cfg:
-        target = _numbers(cfg["target"], "target")
+        target = cfg["target"]
     elif "target_csv" in cfg:
         target = _read_series_csv(cfg["target_csv"])
     elif isinstance(cfg["simulator"], str):
@@ -189,15 +170,14 @@ def _run_common(args, mode: str) -> int:
     else:
         raise ValueError("an external-simulator config needs 'target' or 'target_csv'")
     series = cal.checked_target(target, simulator)
+    out_dir = _writable(args.out_dir or cfg.get("out_dir") or f"{mode}_run")
 
     if mode == "calibrate":
         result = cal.msce_run(simulator, series, config)
     else:
-        cutoff = float(cal.check_number(cfg["cutoff"], "cutoff"))
         dps = build_dps(series, config.k_max)
-        result = cal.hm_run(simulator, series, dps, config.n0, cutoff, config)
+        result = cal.hm_run(simulator, series, dps, config.n0, cfg["cutoff"], config)
 
-    out_dir = Path(args.out_dir or cfg.get("out_dir") or f"{mode}_run")
     recorded = ("target", "target_csv") + (("cutoff",) if mode == "hm" else ())
     resolved = cal.resolved_config_dict(config, extra={
         "mode": mode,
@@ -217,6 +197,7 @@ def _cmd_simulate(args) -> int:
         "bounds": [[0.0, 1.0]] * args.d, "exchange_dir": args.exchange_dir})
     inputs = read_csv(args.inputs, [f"x{k + 1}" for k in range(simulator.spec.d)])
     out_path = Path(args.out or "responses.csv")
+    _writable(out_path, file=True)
     runs = [simulator.run(x if args.scaled else simulator.spec.scale(x)).tolist()
             for x in inputs]
     cal.write_responses(out_path, simulator.spec.time_grid.tolist(), runs)
@@ -236,7 +217,7 @@ def _cmd_evaluate(args) -> int:
     except ConstantTargetError as exc:
         raise InputError(f"{args.target}: {exc}")
     if args.out:
-        cal.write_json(args.out, payload)
+        cal.write_json(_writable(args.out, file=True), payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -270,7 +251,7 @@ def _parser() -> argparse.ArgumentParser:
                     help="treat inputs as already scaled to [0,1]^d")
     sp.add_argument("--d", type=int, default=1, help="dimension for --command")
     sp.add_argument("--L", type=int, default=200, help="series length for --command")
-    sp.add_argument("--exchange-dir", default=None)
+    sp.add_argument("--exchange-dir", default="")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_simulate)
 
@@ -286,7 +267,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:  # an OSError is from writing an output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except cal.BudgetError as exc:
@@ -301,7 +282,7 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -22,7 +22,6 @@ calls would leave; any numpy `Generator` serves.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -59,16 +58,6 @@ def random_lhd(n: int, d: int, seed) -> np.ndarray:
     for k in range(d):
         design[:, k] = (rng.permutation(n) + rng.uniform(size=n)) / n
     return design
-
-
-@lru_cache(maxsize=16)
-def _pair_indices(n: int):
-    """Row indices (i, j) of all pairs i < j, in `triu_indices` order; read-only,
-    cached because every exchange search at one n starts from them."""
-    pairs = np.triu_indices(n, k=1)
-    for idx in pairs:
-        idx.flags.writeable = False
-    return pairs
 
 
 def _inverse_products(diff: np.ndarray) -> np.ndarray:
@@ -164,7 +153,7 @@ def _exchange_optimize(points, criterion, rng, iterations):
     pair_values, cost = _CRITERIA[criterion]
     current = np.array(points, dtype=float)
     n, d = current.shape
-    a, b = _pair_indices(n)
+    a, b = np.triu_indices(n, k=1)
     values = pair_values(current[a] - current[b])
     cur_cost = cost(values, d)
     best = current.copy()

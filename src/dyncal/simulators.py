@@ -7,16 +7,20 @@ always works with inputs scaled to [0,1]^d; unscaling to native units is
 affine and happens here. An external executable can stand in for a bundled
 simulator through a small CSV exchange protocol. read_csv and write_csv
 are dyncal's one CSV reader and one CSV writer, for that exchange as for
-every other file.
+every other file. check_integer, check_number and _numbers are the type
+rules on every value a config or a Python caller hands to dyncal.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
+import numbers
 import os
+import shlex
 import shutil
 import signal
 import subprocess
+import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,6 +42,36 @@ class SimulatorTimeout(RuntimeError):
 
 class InputError(Exception):
     """Unreadable or malformed input file."""
+
+
+def check_integer(value, name: str):
+    """value itself; ValueError unless it is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def check_number(value, name: str):
+    """value itself; ValueError unless it is a real number (a bool is not)
+    that is finite as a float: JSON's NaN and Infinity are refused, and so is
+    an integer beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # also false for NaN
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _numbers(value, name: str) -> np.ndarray:
+    """value as a contiguous float array; ValueError unless it is a flat
+    sequence of numbers (integers or floats: no bool, string or nested list)."""
+    try:
+        out = np.asarray(value)
+    except ValueError:  # ragged
+        out = np.empty((0, 0))
+    if out.ndim != 1 or out.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+    return np.ascontiguousarray(out, dtype=float)
 
 
 def read_csv(path, names: list[str]) -> np.ndarray:
@@ -81,17 +115,22 @@ def write_csv(path, header: list, rows) -> None:
 
 @dataclass
 class SimulatorSpec:
+    """d inputs (integer, >= 1), each between the low and high of its pair of
+    native_bounds, and a series of L values (integer, >= 1) on time_grid, L
+    finite increasing numbers; time_grid None is 1, 2, ..., L."""
+
     name: str
     d: int
     L: int
-    time_grid: np.ndarray
+    time_grid: np.ndarray | None
     native_bounds: list[tuple[float, float]]
 
     def __post_init__(self):
         for name in ("d", "L"):
-            if getattr(self, name) < 1:
+            if check_integer(getattr(self, name), f"simulator {name}") < 1:
                 raise ValueError(f"simulator {name} must be >= 1, got {getattr(self, name)}")
-        self.time_grid = np.asarray(self.time_grid, dtype=float)
+        grid = np.arange(1.0, self.L + 1.0) if self.time_grid is None else self.time_grid
+        self.time_grid = _numbers(grid, "simulator time_grid")
         if len(self.time_grid) != self.L:
             raise ValueError("time grid length does not match L")
         if not np.all(np.isfinite(self.time_grid)):
@@ -99,11 +138,12 @@ class SimulatorSpec:
         if np.any(np.diff(self.time_grid) <= 0):
             raise ValueError("time grid must be strictly increasing")
         try:
-            bounds = np.array(self.native_bounds, dtype=float)
-        except (TypeError, ValueError):  # ragged or not numbers
-            bounds = np.empty(0)
-        if (bounds.shape != (self.d, 2) or not np.isfinite(bounds).all()
-                or not (bounds[:, 0] < bounds[:, 1]).all()):
+            pairs = [(lo, hi) for lo, hi in self.native_bounds]
+        except (TypeError, ValueError):  # not a sequence of pairs
+            pairs = []
+        bounds = np.array([check_number(v, "simulator bound") for pair in pairs for v in pair],
+                          dtype=float).reshape(-1, 2)
+        if len(bounds) != self.d or not (bounds[:, 0] < bounds[:, 1]).all():
             raise ValueError(f"simulator bounds must be {self.d} [low, high] pairs, "
                              f"got {self.native_bounds!r}")
         self._lo, self._hi = bounds[:, 0], bounds[:, 1]
@@ -203,11 +243,9 @@ _REGISTRY = {
 
 def get_simulator(name: str) -> Simulator:
     """Fresh counting wrapper around a bundled simulator."""
-    try:
-        spec, func = _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown simulator '{name}'; choose from {sorted(_REGISTRY)}")
-    return Simulator(spec, func)
+    if name not in _REGISTRY:
+        raise ValueError(f"unknown simulator '{name}'; choose from {sorted(_REGISTRY)}")
+    return Simulator(*_REGISTRY[name])
 
 
 def target_series(name: str) -> np.ndarray:
@@ -219,19 +257,28 @@ def target_series(name: str) -> np.ndarray:
 class ExternalSimulator(Simulator):
     """Adapter running an external executable through a CSV exchange.
 
-    command is the executable's argv, a list of strings. Protocol: each run
-    gets a fresh subdirectory of exchange_dir, and the executable runs with
-    that subdirectory as its cwd. input.csv has header x1..xd and one data
-    row in native units, each number as its repr; the executable must exit 0
-    within timeout seconds (> 0) and leave output.csv with exactly L rows of
-    two finite numbers, t and value, read by read_csv: a header t,value is
-    optional and blank lines are skipped. The subdirectory is removed once
-    its output parses and kept otherwise, for diagnosis. The executable
-    leads its own process group, and a timeout kills the whole group.
+    command is the executable's argv: a non-empty list of strings, or one
+    string split like a POSIX shell. Protocol: each run gets a fresh
+    subdirectory of exchange_dir (ProcessError if it cannot be made), and the
+    executable runs with that subdirectory as its cwd. input.csv has header
+    x1..xd and one data row in native units, each number as its repr; the
+    executable must exit 0 within timeout seconds (a finite number > 0) and
+    leave output.csv with exactly L rows of two finite numbers, t and value,
+    read by read_csv: a header t,value is optional and blank lines are
+    skipped. The subdirectory is removed once its output parses and kept
+    otherwise, for diagnosis. The executable leads its own process group,
+    and a timeout kills the whole group.
     """
 
     def __init__(self, spec: SimulatorSpec, command, exchange_dir, timeout: float = 60.0):
-        if not timeout > 0:
+        command = shlex.split(command) if isinstance(command, str) else command
+        if not (isinstance(command, list) and all(isinstance(c, str) for c in command)):
+            raise ValueError(f"simulator command must be a string or a list of strings, "
+                             f"got {command!r}")
+        if not command:
+            raise ValueError("simulator command must not be empty")
+        timeout = float(check_number(timeout, "simulator timeout"))
+        if timeout <= 0:
             raise ValueError(f"simulator timeout must be positive, got {timeout!r}")
         super().__init__(spec, self._invoke)
         self.command = command
@@ -239,8 +286,11 @@ class ExternalSimulator(Simulator):
         self.timeout = timeout
 
     def _invoke(self, x_native, time_grid) -> np.ndarray:
-        self.exchange_dir.mkdir(parents=True, exist_ok=True)
-        run_dir = Path(tempfile.mkdtemp(prefix="run-", dir=self.exchange_dir))
+        try:
+            self.exchange_dir.mkdir(parents=True, exist_ok=True)
+            run_dir = Path(tempfile.mkdtemp(prefix="run-", dir=self.exchange_dir))
+        except OSError as exc:
+            raise ProcessError(f"cannot make a run directory in {self.exchange_dir}: {exc}")
         write_csv(run_dir / "input.csv", [f"x{k + 1}" for k in range(self.spec.d)],
                   [x_native.tolist()])
         try:

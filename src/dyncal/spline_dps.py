@@ -32,15 +32,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .simulators import _numbers
+
 
 @dataclass
 class TargetSeries:
-    """Target response g0 on a fixed time grid of length L, indexed 1..L."""
+    """Target response g0 on a fixed time grid of length L, indexed 1..L: a
+    flat sequence of at least 5 finite numbers."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).ravel()
+        self.values = _numbers(self.values, "target")
         if len(self.values) < 5:
             raise ValueError("target series needs at least 5 points")
         if not np.all(np.isfinite(self.values)):

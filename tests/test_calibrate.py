@@ -301,6 +301,17 @@ def test_msce_deterministic():
     assert not np.array_equal(a.training_inputs, c.training_inputs)
 
 
+@pytest.mark.parametrize("target", [
+    np.zeros((2, 20)), [[0.5] * 40], [True] * 40, ["0.5"] * 40, 0.5,
+], ids=["2x20-array", "nested-list", "bools", "strings", "scalar"])
+def test_target_must_be_a_flat_sequence_of_numbers(target):
+    """A 2 x 20 array is not read as a 40-point target: a target is flat."""
+    sim = make_toy_simulator()
+    with pytest.raises(ValueError, match="^target must be a list of numbers, got "):
+        msce_run(sim, target, small_config())
+    assert sim.calls == 0
+
+
 def test_msce_rejects_length_mismatch():
     sim = make_toy_simulator(L=40)
     with pytest.raises(ValueError):
@@ -548,16 +559,31 @@ def test_hm_augments_and_audits():
                           result.training_inputs[np.argmin(scores)])
 
 
-@pytest.mark.parametrize("cutoff", [0.0, -1.0, math.nan])
-def test_hm_rejects_bad_cutoff(cutoff):
+@pytest.mark.parametrize("cutoff, message", [
+    (0.0, "implausibility cutoff must be positive, got 0.0"),
+    (-1.0, "implausibility cutoff must be positive, got -1.0"),
+    (math.nan, "cutoff must be finite, got nan"),
+    ("0.5", "cutoff must be a number, got '0.5'"),
+    (True, "cutoff must be a number, got True"),
+], ids=["0.0", "-1.0", "nan", "string", "bool"])
+def test_hm_rejects_bad_cutoff(cutoff, message):
     sim = make_toy_simulator()
     target = toy_target(sim)
     dps = build_dps(TargetSeries(target), 3)
     # small stages, so that a cutoff let through fails fast instead of paying 1000 runs
     config = small_config(hm_stage_cap=3, hm_stage_limit=2)
-    with pytest.raises(ValueError, match="cutoff must be positive"):
+    with pytest.raises(ValueError, match=message):
         hm_run(sim, target, dps, n0=6, cutoff=cutoff, config=config)
     assert sim.calls == 0
+
+
+def test_hm_integer_cutoff_is_kept_as_a_float():
+    sim = make_toy_simulator()
+    target = toy_target(sim)
+    config = small_config(hm_stage_cap=2, hm_stage_limit=1)
+    result = hm_run(sim, target, build_dps(TargetSeries(target), 3), n0=6, cutoff=3,
+                    config=config)
+    assert result.flags == {"cutoff": 3.0} and type(result.flags["cutoff"]) is float
 
 
 def test_write_run_artifacts(tmp_path):

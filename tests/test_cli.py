@@ -1,7 +1,9 @@
 import csv
+import errno
 import filecmp
 import json
 import math
+import os
 import shlex
 import stat
 import sys
@@ -722,3 +724,115 @@ def test_unusable_series_file_is_input_error(tmp_path, capsys, cmd, files, messa
     rc = cli.main([cmd, *paths])
     assert rc == cli.EXIT_PARSE
     assert message in capsys.readouterr().err
+
+
+def test_unknown_simulator_is_config_error(tmp_path, capsys):
+    cfg = toy_calibrate_config(tmp_path, simulator="nope")
+    rc = cli.main(["calibrate", cfg, "--out-dir", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: unknown simulator 'nope'; "
+        "choose from ['bliznyuk', 'easom', 'harari_steinberg']"]
+
+
+@pytest.mark.parametrize("value", [7, 0])
+def test_exchange_dir_type_is_checked_when_the_environment_sets_one(tmp_path, capsys,
+                                                                    monkeypatch, value):
+    monkeypatch.setenv(cli.EXCHANGE_DIR_ENV, str(tmp_path / "from_env"))
+    cfg = toy_calibrate_config(tmp_path, simulator=_external_spec(exchange_dir=value),
+                               target=[0.0] * 10)
+    rc = cli.main(["calibrate", cfg, "--out-dir", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    assert f"config error: exchange_dir must be a path string, got {value}" in (
+        capsys.readouterr().err)
+
+
+def _output_argv(cmd, tmp_path, out):
+    """argv for cmd writing its output to out, with its inputs in tmp_path."""
+    if cmd in ("calibrate", "hm"):
+        cfg = toy_calibrate_config(tmp_path, cutoff=2.0) if cmd == "hm" else (
+            toy_calibrate_config(tmp_path))
+        return [cmd, cfg, "--out-dir", str(out)]
+    target = write_series_csv(tmp_path / "target.csv", target_series("easom"))
+    if cmd == "dps":
+        return ["dps", target, "--k-max", "3", "--out-dir", str(out)]
+    if cmd == "evaluate":
+        return ["evaluate", target, target, "--out", str(out)]
+    (tmp_path / "inputs.csv").write_text("x1,x2\n0.8,0.2\n")
+    return ["simulate", "--simulator", "easom", str(tmp_path / "inputs.csv"), "--out", str(out)]
+
+
+@pytest.mark.parametrize("cmd", ["dps", "calibrate", "hm", "simulate", "evaluate"])
+@pytest.mark.parametrize("depth", [0, 1], ids=["file", "parent-file"])
+def test_unwritable_output_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                      cmd, depth):
+    """An output directory that is a file (depth 0), or lies under one
+    (depth 1), exits 5 before the first run or scan, and makes nothing. For
+    simulate and evaluate the output is a file in that directory."""
+    file_output = cmd in ("simulate", "evaluate")
+    made = []
+    monkeypatch.setattr(cli, "get_simulator", lambda name: made.append(get_simulator(name))
+                        or made[-1])
+    monkeypatch.setattr(cli, "build_dps", lambda *a, **k: pytest.fail("build_dps reached"))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out_dir = blocker / "run" if depth else blocker
+    out = out_dir / "out.csv" if file_output else out_dir
+    argv = _output_argv(cmd, tmp_path, out)
+    before = sorted(tmp_path.rglob("*"))
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_PARSE
+    named = out_dir if file_output else blocker
+    assert f"error: cannot write {out}: {named} is not a directory" in err
+    assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == ""
+    assert [sim.calls for sim in made] == ([0] if cmd in ("calibrate", "hm", "simulate")
+                                           else [])
+
+
+@pytest.mark.parametrize("cmd", ["simulate", "evaluate"])
+def test_output_file_in_a_missing_directory_is_refused(tmp_path, capsys, cmd):
+    """An output file is written into an existing directory: one that is
+    missing exits 5 before any run, where dps, calibrate and hm make theirs."""
+    out = tmp_path / "new" / "out.csv"
+    rc = cli.main(_output_argv(cmd, tmp_path, out))
+    assert rc == cli.EXIT_PARSE
+    assert f"error: cannot write {out}: {out.parent} is not a directory" in (
+        capsys.readouterr().err)
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("cmd", ["simulate", "evaluate"])
+def test_output_file_that_is_a_directory_is_refused(tmp_path, capsys, cmd):
+    out = tmp_path / "out.csv"
+    out.mkdir()
+    rc = cli.main(_output_argv(cmd, tmp_path, out))
+    assert rc == cli.EXIT_PARSE
+    assert f"error: cannot write {out}: it is a directory" in capsys.readouterr().err
+
+
+def test_output_write_error_exits_five_without_traceback(tmp_path, capsys, monkeypatch):
+    """A write that fails after the checks (here a full disk) exits 5 with the
+    system's message, not a traceback."""
+    def full(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(tmp_path / "run"))
+    monkeypatch.setattr(cli.cal, "write_run_artifacts", full)
+    rc = cli.main(_output_argv("calibrate", tmp_path, tmp_path / "run"))
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_PARSE
+    assert err == f"error: [Errno {errno.ENOSPC}] No space left on device: '{tmp_path / 'run'}'\n"
+
+
+def test_exchange_dir_under_a_file_is_simulator_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.EXCHANGE_DIR_ENV, raising=False)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cfg = toy_calibrate_config(tmp_path, k_max=2, target=np.sin(np.arange(10.0)).tolist(),
+                               simulator=_external_spec(exchange_dir=str(blocker / "x")))
+    rc = cli.main(["calibrate", cfg, "--out-dir", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_PROCESS
+    assert f"simulator error: cannot make a run directory in {blocker / 'x'}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()

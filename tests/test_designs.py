@@ -8,8 +8,7 @@ from scipy.spatial.distance import pdist
 
 from dyncal import designs
 from dyncal.designs import (_bounded, _exchange_optimize, _inverse_products, _maxpro_cost,
-                            _pair_indices, _squared_distances, maximin_lhd, maxpro_lhd,
-                            random_lhd)
+                            _squared_distances, maximin_lhd, maxpro_lhd, random_lhd)
 
 
 def is_latin_hypercube(points: np.ndarray) -> bool:
@@ -28,7 +27,7 @@ def maxpro_criterion(points: np.ndarray) -> float:
     pair values and cost, as the exchange search takes it after every swap."""
     points = np.asarray(points, dtype=float)
     n, d = points.shape
-    i, j = _pair_indices(n)
+    i, j = np.triu_indices(n, k=1)
     with np.errstate(divide="ignore"):
         return _maxpro_cost(_inverse_products(points[i] - points[j]), d)
 
@@ -197,7 +196,7 @@ def test_min_pairwise_distance_bit_equal_to_pdist(n, d, seed, scale, digits):
     points = np.random.default_rng(seed).uniform(size=(n, d)) * 10.0 ** scale
     if digits is not None:
         points = np.round(points, digits)
-    i, j = _pair_indices(n)
+    i, j = np.triu_indices(n, k=1)
     got = -designs._maximin_cost(_squared_distances(points[i] - points[j]), d)
     assert type(got) is float
     assert got == float(pdist(points).min())

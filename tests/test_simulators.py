@@ -101,7 +101,7 @@ def test_call_counting_and_peek():
 
 
 def test_unknown_simulator_name():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=r"^unknown simulator 'rosenbrock'; choose from \["):
         get_simulator("rosenbrock")
 
 
@@ -118,9 +118,32 @@ def test_spec_validation():
     # one pair for two inputs, and an unbounded side, would unscale to nonsense
     with pytest.raises(ValueError, match=r"simulator bounds must be 2 \[low, high\] pairs"):
         SimulatorSpec(name="x", d=2, L=3, time_grid=[1, 2, 3], native_bounds=[(0.0, 1.0)])
-    with pytest.raises(ValueError, match=r"simulator bounds must be 1 \[low, high\] pairs"):
+    with pytest.raises(ValueError, match="simulator bound must be finite, got -inf"):
         SimulatorSpec(name="x", d=1, L=3, time_grid=[1, 2, 3],
                       native_bounds=[(-math.inf, 1.0)])
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"d": True}, "simulator d must be an integer, got True"),
+    ({"d": 2.0}, "simulator d must be an integer, got 2.0"),
+    ({"native_bounds": [("0", "1")]}, "simulator bound must be a number, got '0'"),
+    ({"native_bounds": [(0.0, 1.0, 2.0)]}, r"simulator bounds must be 1 \[low, high\] pairs"),
+    ({"time_grid": [[1, 2, 3]]}, r"simulator time_grid must be a list of numbers, got \[\[1"),
+    ({"time_grid": ["1", "2", "3"]}, "simulator time_grid must be a list of numbers"),
+], ids=["d-bool", "d-float", "bound-string", "bound-triple", "grid-2d",
+        "grid-strings"])
+def test_spec_refuses_what_a_config_refuses(overrides, message):
+    """The spec checks every field as the CLI reports it for a config."""
+    fields = {"name": "x", "d": 1, "L": 3, "time_grid": [1, 2, 3],
+              "native_bounds": [(0.0, 1.0)], **overrides}
+    with pytest.raises(ValueError, match=message):
+        SimulatorSpec(**fields)
+
+
+def test_spec_time_grid_none_is_one_to_L():
+    spec = SimulatorSpec(name="x", d=1, L=4, time_grid=None, native_bounds=[(0, 2)])
+    assert spec.time_grid.tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert spec.unscale([0.25]).tolist() == [0.5]
 
 
 # -- external process adapter --------------------------------------------------
@@ -265,11 +288,56 @@ def test_external_input_holds_repr_numbers(tmp_path):
     assert log.read_text() == f"x1,x2\n0.1,{1 / 3!r}\n"
 
 
-@pytest.mark.parametrize("timeout", [0.0, -1.0, math.nan])
-def test_external_timeout_must_be_positive(tmp_path, timeout):
-    with pytest.raises(ValueError, match="simulator timeout must be positive"):
+@pytest.mark.parametrize("timeout, message", [
+    (0.0, "simulator timeout must be positive, got 0.0"),
+    (-1.0, "simulator timeout must be positive, got -1.0"),
+    (math.nan, "simulator timeout must be finite, got nan"),
+], ids=["0.0", "-1.0", "nan"])
+def test_external_timeout_must_be_positive(tmp_path, timeout, message):
+    with pytest.raises(ValueError, match=message):
         ExternalSimulator(_tiny_spec(), ["true"], tmp_path / "xchg", timeout=timeout)
     assert not (tmp_path / "xchg").exists()
+
+
+@pytest.mark.parametrize("command, timeout, message", [
+    ([], 60.0, "simulator command must not be empty"),
+    ("", 60.0, "simulator command must not be empty"),
+    (["true", 7], 60.0,
+     r"simulator command must be a string or a list of strings, got \['true', 7\]"),
+    (("true",), 60.0, "simulator command must be a string or a list of strings"),
+    ("'./my sim", 60.0, "No closing quotation"),
+    (["true"], "60", "simulator timeout must be a number, got '60'"),
+    (["true"], math.inf, "simulator timeout must be finite, got inf"),
+], ids=["empty-list", "empty-string", "not-a-string", "tuple", "open-quote",
+        "timeout-string", "timeout-inf"])
+def test_external_refuses_what_a_config_refuses(tmp_path, command, timeout, message):
+    with pytest.raises(ValueError, match=message):
+        ExternalSimulator(_tiny_spec(), command, tmp_path / "xchg", timeout=timeout)
+    assert not (tmp_path / "xchg").exists()
+
+
+def test_external_command_string_is_split_like_a_shell(tmp_path):
+    """A quoted path with a space stays one word; the words after it are its
+    arguments. The timeout is kept as a float."""
+    (tmp_path / "my sims").mkdir()
+    exe = _write_executable(tmp_path / "my sims" / "sim.py", """
+        import sys
+        with open("output.csv", "w") as fh:
+            fh.write("t,value\\n")
+            for i in range(5):
+                fh.write(f"{i + 1},{sys.argv[1]}\\n")
+    """)
+    sim = ExternalSimulator(_tiny_spec(), f"'{exe}' 2.5", tmp_path / "xchg", timeout=30)
+    assert sim.command == [exe, "2.5"]
+    assert sim.timeout == 30.0 and type(sim.timeout) is float
+    assert sim.run([0.5, 0.5]).tolist() == [2.5] * 5
+
+
+def test_external_exchange_dir_that_cannot_be_made_is_process_error(tmp_path):
+    (tmp_path / "file").write_text("")
+    sim = ExternalSimulator(_tiny_spec(), ["true"], tmp_path / "file" / "xchg")
+    with pytest.raises(ProcessError, match="cannot make a run directory in"):
+        sim.run([0.5, 0.5])
 
 
 def test_external_timeout(tmp_path):

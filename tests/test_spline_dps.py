@@ -144,6 +144,13 @@ def test_target_series_validation():
         TargetSeries(np.array([1.0, 2.0, np.inf, 3.0, 4.0]))
 
 
+def test_target_series_is_flat():
+    """A 2 x 100 array is refused, not flattened into a 200-point target."""
+    with pytest.raises(ValueError, match=r"^target must be a list of numbers, got array\(\[\["):
+        TargetSeries(np.zeros((2, 100)))
+    assert TargetSeries([1, 2, 3, 4, 6]).values.dtype == np.float64
+
+
 def test_greedy_stage_one_is_exhaustive_scan():
     series = TargetSeries(target_series("easom"))
     knots, path = greedy_knot_search(series, k_max=1)
