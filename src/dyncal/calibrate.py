@@ -32,7 +32,7 @@ from .designs import maximin_lhd, maxpro_lhd, random_lhd
 from .gp import GpModel, MeanBank, fit_gp, predict_batch
 from .metrics import ConstantTargetError, evaluate_all
 from .simulators import Simulator, check_integer, check_number, write_csv
-from .spline_dps import K_MAX_DEFAULT, DpsResult, TargetSeries, build_dps
+from .spline_dps import DpsResult, TargetSeries, build_dps
 
 DUPLICATE_TOL = 1e-10
 
@@ -45,12 +45,14 @@ class BudgetError(ValueError):
 class MsceConfig:
     """Knobs for a calibration run; everything else derives from the seed.
     The method has no switches: the n0-point initial design is MaxPro for
-    msce_run and maximin for hm_run, both drawn on stream (seed, 0)."""
+    msce_run and maximin for hm_run, both drawn on stream (seed, 0).
+    k_max None is `build_dps`'s default knot budget; an explicit k_max must
+    be an integer, and `build_dps` holds it to its bounds."""
 
     n0: int
     N: int
     seed: int = 0
-    k_max: int = K_MAX_DEFAULT
+    k_max: int | None = None
     alpha: float = 0.67
     epsilon: float = 1e-5
     M: int = 5000
@@ -61,9 +63,11 @@ class MsceConfig:
 
     def __post_init__(self):
         for f in fields(self):  # f.type is the annotation's text
-            check = {"int": check_integer, "float": check_number}.get(f.type)
-            if check is not None:
-                check(getattr(self, f.name), f.name)
+            value = getattr(self, f.name)
+            check = {"int": check_integer, "float": check_number}.get(
+                f.type.removesuffix(" | None"))
+            if check is not None and not (value is None and f.type.endswith(" | None")):
+                check(value, f.name)
         if not (2 <= self.n0 < self.N):
             raise BudgetError(f"need 2 <= n0 < N, got n0={self.n0}, N={self.N}")
         if self.epsilon <= 0:
@@ -331,6 +335,14 @@ def msce_run(simulator: Simulator, target, config: MsceConfig) -> CalibrationRes
     return result
 
 
+def checked_cutoff(cutoff) -> float:
+    """cutoff as a float; ValueError unless it is a finite number above 0."""
+    cutoff = float(check_number(cutoff, "cutoff"))
+    if cutoff <= 0:
+        raise ValueError(f"implausibility cutoff must be positive, got {cutoff!r}")
+    return cutoff
+
+
 def hm_run(simulator: Simulator, target, dps: DpsResult, n0: int, cutoff: float,
            config: MsceConfig) -> CalibrationResult:
     """History-matching baseline over the given DPS.
@@ -339,11 +351,9 @@ def hm_run(simulator: Simulator, target, dps: DpsResult, n0: int, cutoff: float,
     every plausible point (IM_max <= cutoff), nearest-to-zero first, up to the
     per-stage cap. Stops when a stage adds nothing or the stage limit is hit.
     The answer is the training point whose stored responses best match the
-    target at the DPS. cutoff must be a finite number above 0.
+    target at the DPS. cutoff must be a finite number above 0 (`checked_cutoff`).
     """
-    cutoff = float(check_number(cutoff, "cutoff"))
-    if cutoff <= 0:
-        raise ValueError(f"implausibility cutoff must be positive, got {cutoff!r}")
+    cutoff = checked_cutoff(cutoff)
     series = checked_target(target, simulator)
     spec = simulator.spec
     indices = list(dps.dps)

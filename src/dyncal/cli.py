@@ -15,8 +15,9 @@ input file, or an output path that cannot be written.
 The checks here are about JSON itself: unknown, missing and repeated keys,
 the mode and path strings. Every rule on a value is the library's: the
 simulator spec, command and timeout are checked by SimulatorSpec and
-ExternalSimulator, the target by TargetSeries, the cutoff by hm_run and the
-other numbers by MsceConfig.
+ExternalSimulator, the target by TargetSeries, the cutoff by checked_cutoff,
+the knot budget and the shortest series by build_dps and the other numbers
+by MsceConfig.
 """
 from __future__ import annotations
 
@@ -33,8 +34,7 @@ from .metrics import ConstantTargetError, evaluate_all
 from .simulators import (ExternalSimulator, InputError, ProcessError, ProtocolError,
                          Simulator, SimulatorSpec, SimulatorTimeout, get_simulator,
                          read_csv, target_series, write_csv)
-from .spline_dps import (K_MAX_DEFAULT, K_MAX_LEAST, CubicTargetError, TargetSeries,
-                         build_dps)
+from .spline_dps import K_MAX_DEFAULT, DpsTargetError, TargetSeries, build_dps
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -134,15 +134,10 @@ def _check_run_keys(cfg: dict, mode: str) -> None:
 
 def _cmd_dps(args) -> int:
     series = _read_series_csv(args.target)
-    least = K_MAX_LEAST + 5  # k_max may not exceed the series length less 5
-    if len(series) < least:
-        raise InputError(f"{args.target}: dps needs a series of at least {least} rows, "
-                         f"got {len(series)}")
-    k_max = min(K_MAX_DEFAULT, len(series) - 5) if args.k_max is None else args.k_max
     out = _writable(args.out_dir)
     try:
-        result = build_dps(series, k_max=k_max)
-    except CubicTargetError as exc:
+        result = build_dps(series, k_max=args.k_max)
+    except DpsTargetError as exc:
         raise InputError(f"{args.target}: {exc}")
     out.mkdir(parents=True, exist_ok=True)
     cal.write_json(out / "dps.json", result.to_dict())
@@ -161,6 +156,7 @@ def _run_common(args, mode: str) -> int:
     simulator = _build_simulator(cfg.get("simulator"))
     config = cal.MsceConfig(**{f.name: cfg[f.name] for f in fields(cal.MsceConfig)
                                if f.name in cfg})
+    cutoff = cal.checked_cutoff(cfg["cutoff"]) if mode == "hm" else None
     if "target" in cfg:
         target = cfg["target"]
     elif "target_csv" in cfg:
@@ -176,10 +172,11 @@ def _run_common(args, mode: str) -> int:
         result = cal.msce_run(simulator, series, config)
     else:
         dps = build_dps(series, config.k_max)
-        result = cal.hm_run(simulator, series, dps, config.n0, cfg["cutoff"], config)
+        result = cal.hm_run(simulator, series, dps, config.n0, cutoff, config)
 
     recorded = ("target", "target_csv") + (("cutoff",) if mode == "hm" else ())
     resolved = cal.resolved_config_dict(config, extra={
+        "k_max": len(result.dps.mse_path) - 1,  # the knot budget the scan used
         "mode": mode,
         "simulator": cfg.get("simulator"),
         **{k: cfg[k] for k in recorded if k in cfg},

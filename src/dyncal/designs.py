@@ -26,12 +26,6 @@ import math
 import numpy as np
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def random_lhd(n: int, d: int, seed) -> np.ndarray:
     """Random Latin hypercube design: n points in [0,1]^d.
 
@@ -53,7 +47,7 @@ def random_lhd(n: int, d: int, seed) -> np.ndarray:
         raise ValueError(f"need at least one design point, got n={n}")
     if d < 1:
         raise ValueError(f"need at least one dimension, got d={d}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     design = np.empty((n, d))
     for k in range(d):
         design[:, k] = (rng.permutation(n) + rng.uniform(size=n)) / n
@@ -208,7 +202,7 @@ def maximin_lhd(n: int, d: int, seed, iterations: int) -> np.ndarray:
     """
     if n < 2:
         raise ValueError("maximin design needs n >= 2 (min distance undefined)")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     start = random_lhd(n, d, rng)
     return _exchange_optimize(start, "maximin", rng, iterations)
 
@@ -218,7 +212,7 @@ def maxpro_lhd(n: int, d: int, seed, iterations: int) -> np.ndarray:
     any numpy Generator."""
     if n < 2:
         raise ValueError("MaxPro design needs n >= 2")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     start = random_lhd(n, d, rng)
     return _exchange_optimize(start, "maxpro", rng, iterations)
 

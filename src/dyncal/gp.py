@@ -140,7 +140,6 @@ class GpModel:
     """Fitted ordinary-kriging surrogate. Immutable after fit_gp."""
 
     X: np.ndarray
-    y: np.ndarray
     theta: np.ndarray  # the length-d nonnegative decay rates (per scaled-input unit)
     mu_hat: float
     sigma2_hat: float
@@ -153,10 +152,6 @@ class GpModel:
     sigma2_std: float = 0.0
     alpha: np.ndarray | None = None  # R~^-1 (y_std - mu_std 1)
     degenerate: bool = False
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
 
     @property
     def d(self) -> int:
@@ -389,7 +384,7 @@ def build_gp_model(X: np.ndarray, y: np.ndarray, theta, nugget: float) -> GpMode
     if np.any(theta < 0):
         raise ValueError("correlation decay rates must be nonnegative")
     if y.max() == y.min():  # np.std of a constant can be an ulp above zero
-        return GpModel(X=X, y=y, theta=theta, mu_hat=float(y[0]), sigma2_hat=0.0,
+        return GpModel(X=X, theta=theta, mu_hat=float(y[0]), sigma2_hat=0.0,
                        nugget=0.0, chol=None, y_mean=float(y[0]), y_scale=1.0,
                        degenerate=True)
     y_mean = float(np.mean(y))
@@ -402,7 +397,7 @@ def build_gp_model(X: np.ndarray, y: np.ndarray, theta, nugget: float) -> GpMode
     mu_std, sigma2_std, _, w = _profile(L, ws.rhs)
     alpha, _ = dtrtrs(L, w, lower=1, trans=1)
     return GpModel(
-        X=X, y=y, theta=theta,
+        X=X, theta=theta,
         mu_hat=y_mean + y_scale * mu_std,
         sigma2_hat=y_scale ** 2 * sigma2_std,
         nugget=nugget, chol=L,
@@ -446,14 +441,13 @@ def fit_gp(X: np.ndarray, y: np.ndarray) -> GpModel:
 
     starts = lo + (hi - lo) * random_lhd(N_STARTS, d, seed=START_SEED)
     best = None
-    for idx, s in enumerate(starts):
+    for s in starts:
         res = minimize(_nll_log10, s, args=(ws, float(lo), float(hi)),
                        maxfev=EVALS_PER_START, xatol=1e-3, fatol=1e-8)
-        cand = (res.fun, idx, res.x)
-        if best is None or cand[0] < best[0]:
-            best = cand
+        if best is None or res.fun < best.fun:
+            best = res
 
-    theta = 10.0 ** np.clip(best[2], lo, hi)
+    theta = 10.0 ** np.clip(best.x, lo, hi)
     _, nugget = _factor(ws, theta, NUGGET_START, NUGGET_CAP, clean=False)
     return build_gp_model(X, y, theta, nugget)
 

@@ -295,8 +295,9 @@ def _insertion_scores(y: np.ndarray, knots: list[int], free: np.ndarray) -> np.n
     return np.maximum(rss - gain, 0.0) / L
 
 
-class CubicTargetError(ValueError):
-    """A cubic without knots fits the target series exactly, so no knot lowers its MSE."""
+class DpsTargetError(ValueError):
+    """The target series cannot carry a DPS: it is too short, or a cubic
+    without knots fits it exactly, so no knot lowers its MSE."""
 
 
 def greedy_knot_search(series: TargetSeries, k_max: int):
@@ -306,7 +307,7 @@ def greedy_knot_search(series: TargetSeries, k_max: int):
     chosen; ties go to the smallest index. Returns (ordered_knots, mse_path)
     where mse_path[0] is the knot-free cubic fit.
 
-    ValueError unless 1 <= k_max <= L - 5. CubicTargetError when the knot-free
+    ValueError unless 1 <= k_max <= L - 5. DpsTargetError when the knot-free
     fit already reaches the shortlist's absolute slack: on a constant, linear
     or cubic series every score ties within it, so every stage would refit
     every index and return knots chosen by rounding. The checks run in that
@@ -325,8 +326,8 @@ def greedy_knot_search(series: TargetSeries, k_max: int):
     floor = _SHORTLIST_FLOOR * float(np.mean(y * y))
     mse_path = [fit_cubic_spline(series, []).mse]
     if mse_path[0] <= floor:
-        raise CubicTargetError("target series is fit exactly by a cubic without knots "
-                               "(constant, linear or cubic), so no knot can lower its MSE")
+        raise DpsTargetError("target series is fit exactly by a cubic without knots "
+                             "(constant, linear or cubic), so no knot can lower its MSE")
     L = len(series)
     if k_max > L - 5:
         raise ValueError(f"k_max={k_max} exceeds {L - 5}, the fit limit for length {L}")
@@ -372,13 +373,22 @@ K_MAX_DEFAULT = 10
 K_MAX_LEAST = 2  # the elbow cut compares the MSE after at least two knot counts
 
 
-def build_dps(series: TargetSeries, k_max: int = K_MAX_DEFAULT) -> DpsResult:
+def build_dps(series: TargetSeries, k_max: int | None = None) -> DpsResult:
     """Full pipeline: greedy knot sequence, MSE path, elbow cut.
 
-    ValueError unless k_max >= K_MAX_LEAST, the least the elbow cut reads.
-    The other refusals, k_max above L - 5 and the CubicTargetError of a
-    series that a knot-free cubic fits, are `greedy_knot_search`'s.
+    k_max None is the default knot budget, K_MAX_DEFAULT or L - 5 when that
+    is smaller. DpsTargetError first on a series shorter than K_MAX_LEAST + 5
+    points, which no budget fits; then ValueError unless k_max >= K_MAX_LEAST,
+    the least the elbow cut reads. The other refusals, k_max above L - 5 and
+    the DpsTargetError of a series that a knot-free cubic fits, are
+    `greedy_knot_search`'s.
     """
+    least = K_MAX_LEAST + 5
+    if len(series) < least:
+        raise DpsTargetError(f"a DPS needs a series of at least {least} points, "
+                             f"got {len(series)}")
+    if k_max is None:
+        k_max = min(K_MAX_DEFAULT, len(series) - 5)
     if k_max < K_MAX_LEAST:
         raise ValueError(f"k_max must be at least {K_MAX_LEAST}, got {k_max}")
     ordered, path = greedy_knot_search(series, k_max)

@@ -51,6 +51,10 @@ def test_config_validation():
         MsceConfig(n0=5, N=10, epsilon=0.0)
     with pytest.raises(ValueError):
         MsceConfig(n0=5, N=10, M=50)
+    for k_max in (2.0, True):  # None is the default knot budget, any other k_max an integer
+        with pytest.raises(ValueError, match=f"k_max must be an integer, got {k_max!r}"):
+            MsceConfig(n0=5, N=10, k_max=k_max)
+    assert MsceConfig(n0=5, N=10).k_max is None
 
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0, 10.000001, 1e308])

@@ -104,8 +104,9 @@ def test_dps_default_k_max_is_ten_on_long_series(tmp_path, easom_target_csv):
     (10, ["--k-max", "10"], cli.EXIT_CONFIG, "k_max=10 exceeds 5, the fit limit for length 10"),
     (10, ["--k-max", "1"], cli.EXIT_CONFIG, "k_max must be at least 2, got 1"),
     (10, ["--k-max", "0"], cli.EXIT_CONFIG, "k_max must be at least 2, got 0"),
-    (6, [], cli.EXIT_PARSE, "s.csv: dps needs a series of at least 7 rows, got 6"),
-    (5, ["--k-max", "2"], cli.EXIT_PARSE, "s.csv: dps needs a series of at least 7 rows, got 5"),
+    (6, [], cli.EXIT_PARSE, "s.csv: a DPS needs a series of at least 7 points, got 6"),
+    (5, ["--k-max", "2"], cli.EXIT_PARSE,
+     "s.csv: a DPS needs a series of at least 7 points, got 5"),
 ], ids=["above-limit", "one", "zero", "six-rows", "five-rows"])
 def test_dps_unusable_k_max_or_length(tmp_path, capsys, length, flags, code, message):
     path = write_series_csv(tmp_path / "s.csv", np.sin(np.linspace(0.0, 5.0, length)))
@@ -457,6 +458,72 @@ def test_config_that_is_not_utf8_is_input_error(tmp_path, capsys):
     rc = cli.main(["calibrate", str(path)])
     assert rc == cli.EXIT_PARSE
     assert f"error: cannot read {path}" in capsys.readouterr().err
+
+
+def _short_external_config(tmp_path, length, **overrides):
+    """A config without k_max for an external toy simulator of series length
+    `length`, whose target is its series at (0.3, 0.7)."""
+    exe = tmp_path / "toy_sim.py"
+    exe.write_text(f"#!{sys.executable}\n" + textwrap.dedent(f"""
+        import csv, math
+        with open("input.csv", newline="") as fh:
+            x1, x2 = (float(v) for v in list(csv.reader(fh))[1])
+        with open("output.csv", "w") as fh:
+            fh.write("t,value\\n")
+            for i in range({length}):
+                t = i / {length - 1}
+                fh.write(f"{{t!r}},{{math.exp(x1 * t) * math.cos(4 * x2 * t + 1)!r}}\\n")
+    """))
+    exe.chmod(exe.stat().st_mode | stat.S_IEXEC)
+    t = np.linspace(0.0, 1.0, length)
+    target = (np.exp(0.3 * t) * np.cos(2.8 * t + 1.0)).tolist()
+    return toy_calibrate_config(
+        tmp_path, k_max=DROP, N=14, target=target, **overrides,
+        simulator=_external_spec(command=[str(exe)], L=length,
+                                 exchange_dir=str(tmp_path / "xchg")))
+
+
+@pytest.mark.parametrize("mode", ["calibrate", "hm"])
+def test_short_target_takes_the_dps_default_k_max(tmp_path, monkeypatch, mode):
+    """A 10-point target without k_max runs with the knot budget of dps, 5,
+    gets the DPS of dps and records that budget."""
+    monkeypatch.delenv(cli.EXCHANGE_DIR_ENV, raising=False)
+    extra = {"cutoff": 3.0, "hm_stage_cap": 3, "hm_stage_limit": 2} if mode == "hm" else {}
+    cfg = _short_external_config(tmp_path, 10, **extra)
+    target = write_series_csv(tmp_path / "target.csv",
+                              json.loads(Path(cfg).read_text())["target"])
+    assert cli.main(["dps", target, "--out-dir", str(tmp_path / "dps_out")]) == 0
+    assert cli.main([mode, cfg, "--out-dir", str(tmp_path / "run")]) == 0
+    result = json.loads((tmp_path / "run" / "result.json").read_text())
+    assert result["dps"] == json.loads((tmp_path / "dps_out" / "dps.json").read_text())
+    assert json.loads((tmp_path / "run" / "config.json").read_text())["k_max"] == 5
+
+
+@pytest.mark.parametrize("mode", ["calibrate", "hm"])
+def test_six_point_target_is_refused_before_any_launch(tmp_path, capsys, monkeypatch, mode):
+    monkeypatch.delenv(cli.EXCHANGE_DIR_ENV, raising=False)
+    cfg = _short_external_config(tmp_path, 6, **({"cutoff": 3.0} if mode == "hm" else {}))
+    rc = cli.main([mode, cfg, "--out-dir", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    assert ("config error: a DPS needs a series of at least 7 points, got 6"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "xchg").exists() and not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("cutoff, message", [
+    ("x", "cutoff must be a number, got 'x'"),
+    ([0.5], "cutoff must be a number, got [0.5]"),
+    (0, "implausibility cutoff must be positive, got 0.0"),
+], ids=["string", "list", "zero"])
+def test_hm_cutoff_is_refused_before_the_knot_scan(tmp_path, capsys, monkeypatch,
+                                                   cutoff, message):
+    scans = []
+    monkeypatch.setattr(cli, "build_dps", lambda *a, **k: scans.append(a) or build_dps(*a, **k))
+    cfg = toy_calibrate_config(tmp_path, cutoff=cutoff)
+    rc = cli.main(["hm", cfg, "--out-dir", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert scans == []
 
 
 def test_hm_requires_positive_cutoff(tmp_path, capsys):

@@ -8,7 +8,7 @@ from scipy.interpolate import BSpline
 
 from dyncal import spline_dps
 from dyncal.simulators import target_series
-from dyncal.spline_dps import (CubicTargetError, DpsResult, TargetSeries, _design_matrix,
+from dyncal.spline_dps import (DpsResult, DpsTargetError, TargetSeries, _design_matrix,
                                _insertion_scores, build_dps, fit_cubic_spline,
                                greedy_knot_search, select_k_elbow)
 
@@ -202,7 +202,7 @@ def test_greedy_scan_matches_brute_force(kind, L, k_frac, seed):
     k_max = 1 + int(k_frac * (min(6, L - 5) - 1))
     series = TargetSeries(_scan_series(kind, L, seed))
     if kind == "constant":  # every index ties, so the scan refuses the series
-        with pytest.raises(CubicTargetError):
+        with pytest.raises(DpsTargetError):
             greedy_knot_search(series, k_max)
         return
     knots, path = greedy_knot_search(series, k_max)
@@ -325,7 +325,7 @@ def test_build_dps_refuses_a_series_a_cubic_fits_exactly(monkeypatch, values):
     counted = fit_cubic_spline
     monkeypatch.setattr(spline_dps, "fit_cubic_spline",
                         lambda *a: fits.append(a) or counted(*a))
-    with pytest.raises(CubicTargetError, match="fit exactly by a cubic without knots"):
+    with pytest.raises(DpsTargetError, match="fit exactly by a cubic without knots"):
         build_dps(TargetSeries(values), k_max=3)
     assert len(fits) == 1
 
@@ -337,7 +337,7 @@ def test_greedy_scan_refuses_a_linear_series_after_one_fit(monkeypatch):
     counted = fit_cubic_spline
     monkeypatch.setattr(spline_dps, "fit_cubic_spline",
                         lambda *a: fits.append(a) or counted(*a))
-    with pytest.raises(CubicTargetError, match="fit exactly by a cubic without knots"):
+    with pytest.raises(DpsTargetError, match="fit exactly by a cubic without knots"):
         greedy_knot_search(TargetSeries(0.25 * np.arange(2000.0) - 7.0), 2)
     assert len(fits) == 1
 
@@ -363,6 +363,19 @@ def test_build_dps_rejects_k_max_below_two():
         with pytest.raises(ValueError, match=f"k_max must be at least 2, got {k_max}"):
             build_dps(series, k_max)
     assert len(build_dps(series, 2).mse_path) == 3
+
+
+@pytest.mark.parametrize("length", [8, 10, 14])
+def test_build_dps_default_k_max_is_the_fit_limit_on_short_series(length):
+    series = TargetSeries(np.sin(np.linspace(0.0, 5.0, length)))
+    assert build_dps(series).to_dict() == build_dps(series, k_max=length - 5).to_dict()
+
+
+@pytest.mark.parametrize("k_max", [None, 2, 10, 0])
+def test_build_dps_refuses_a_series_below_seven_points_first(k_max):
+    series = TargetSeries(np.sin(np.linspace(0.0, 5.0, 6)))
+    with pytest.raises(DpsTargetError, match="a DPS needs a series of at least 7 points, got 6"):
+        build_dps(series, k_max)
 
 
 def test_elbow_on_paper_style_path():
