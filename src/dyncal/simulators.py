@@ -13,7 +13,6 @@ rules on every value a config or a Python caller hands to dyncal.
 from __future__ import annotations
 
 import contextlib
-import csv
 import numbers
 import os
 import shlex
@@ -74,34 +73,97 @@ def _numbers(value, name: str) -> np.ndarray:
     return np.ascontiguousarray(out, dtype=float)
 
 
+_CSV = {"delimiter": ",", "quotechar": '"', "comments": None, "ndmin": 2}
+
+
+def _cells(line: str) -> list[str]:
+    """The cells of one file line as numpy's reader splits them. A quote left
+    open at the end of the line keeps the line end in the last cell."""
+    return np.loadtxt([line + "\n"], dtype=object, **_CSV)[0].tolist()
+
+
+def _one_record(cells: list[str]) -> bool:
+    """Whether the line of these cells closes its quotes, so that its record
+    does not run on into the next line."""
+    return not cells[-1].endswith("\n")
+
+
+_SEPARATORS = "\x1c\x1d\x1e\x1f"  # the ASCII separators: numpy's reader strips them like spaces
+
+
+def _numeric(line: str) -> bool:
+    """Whether numpy's reader takes every cell of the line as a number. A cell
+    holding an ASCII separator is refused, as Python's float refuses it."""
+    if any(c in line for c in _SEPARATORS):
+        return False
+    try:
+        np.loadtxt([line], **_CSV)
+    except ValueError:
+        return False
+    return True
+
+
+def _records(lines: list[str], skip: int) -> list[tuple[int, str]]:
+    """(file line number, line) of each data line: the non-blank lines after
+    the first skip of them."""
+    return [(i, line) for i, line in enumerate(lines, start=1) if line][skip:]
+
+
+def _bad_row(path, records, width: int) -> InputError:
+    """The error naming the first (file line, line) of records that is not
+    one record of width numbers."""
+    for i, line in records:
+        cells = _cells(line)
+        if len(cells) != width:
+            return InputError(f"{path}: row {i} has {len(cells)} fields, expected {width}")
+        if not (_one_record(cells) and _numeric(line)):
+            return InputError(f"{path}: row {i} is not numeric: {cells!r}")
+    return InputError(f"{path}: not {width} numbers per line")
+
+
 def read_csv(path, names: list[str]) -> np.ndarray:
     """The numbers of a CSV file as an (n, len(names)) float array.
 
-    A leading UTF-8 byte-order mark (Excel's "CSV UTF-8") is dropped and blank
-    lines are skipped. The first other line is a header, and skipped, when its
-    cells are `names` up to case and surrounding spaces. Every other line must
-    hold len(names) finite numbers; an error names its file line.
+    A leading UTF-8 byte-order mark (Excel's "CSV UTF-8") is dropped, lines
+    end at \\n, \\r\\n or \\r, and blank lines are skipped. The first other
+    line is a header, and skipped, when its cells are `names` up to case and
+    surrounding spaces. Every other line must be one record of len(names)
+    finite numbers: cells are split at commas, a cell may be quoted with
+    double quotes and padded with spaces or tabs. An error names the file
+    line.
+
+    The data lines are parsed in one call to numpy's C reader, `np.loadtxt`.
+    It reads the numbers Python's `float` reads, bit for bit, but refuses
+    digit-group underscores (1_000) and non-ASCII digits. Only a refused file
+    is walked line by line, with the same reader, to find its first bad line.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            lines = [(i, row) for i, row in enumerate(csv.reader(fh), start=1) if row]
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    if lines and [c.strip().lower() for c in lines[0][1]] == names:
-        del lines[0]
-    values: list[float] = []
-    for i, row in lines:
-        if len(row) != len(names):
-            raise InputError(f"{path}: row {i} has {len(row)} fields, expected {len(names)}")
-        try:
-            values.extend(map(float, row))
-        except ValueError:
-            raise InputError(f"{path}: row {i} is not numeric: {row!r}")
-    data = np.array(values).reshape(len(lines), len(names))
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    rows = list(filter(None, lines))
+    skip = 0
+    if rows:
+        cells = _cells(rows[0])
+        closed = _one_record(cells) or len(rows) == 1  # the end of the file closes a quote
+        skip = int(closed and [c.strip().lower() for c in cells] == names)
+    rows = rows[skip:]
+    width = len(names)
+    try:
+        data = np.loadtxt(rows, **_CSV) if rows else np.empty((0, width))
+    except ValueError:
+        data = None
+    if (data is None or data.shape != (len(rows), width)
+            or any(c in text for c in _SEPARATORS) and not all(map(_numeric, rows))):
+        raise _bad_row(path, _records(lines, skip), width)
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
-        i, row = lines[int(np.argmin(finite))]
-        raise InputError(f"{path}: row {i} is not finite: {row!r}")
+        i, line = _records(lines, skip)[int(np.argmin(finite))]
+        raise InputError(f"{path}: row {i} is not finite: {_cells(line)!r}")
     return data
 
 
@@ -241,16 +303,21 @@ _REGISTRY = {
 }
 
 
-def get_simulator(name: str) -> Simulator:
-    """Fresh counting wrapper around a bundled simulator."""
+def _bundled(name: str):
+    """(spec, func) of a bundled simulator; ValueError naming the choices."""
     if name not in _REGISTRY:
         raise ValueError(f"unknown simulator '{name}'; choose from {sorted(_REGISTRY)}")
-    return Simulator(*_REGISTRY[name])
+    return _REGISTRY[name]
+
+
+def get_simulator(name: str) -> Simulator:
+    """Fresh counting wrapper around a bundled simulator."""
+    return Simulator(*_bundled(name))
 
 
 def target_series(name: str) -> np.ndarray:
     """The canonical target response g0 for a bundled simulator."""
-    spec, func = _REGISTRY[name]
+    spec, func = _bundled(name)
     return np.asarray(func(TRUE_INPUTS[name], spec.time_grid), dtype=float)
 
 

@@ -24,7 +24,9 @@ the current space and its projected norm cancels; those few indices are
 projected explicitly instead. The scores are still rounded, so the indices
 whose score is within a small tolerance of the best are refit exactly with
 `fit_cubic_spline`, and the exact fits decide: the knots and MSE path are
-those of refitting every index.
+those of refitting every index. Each spline basis is built once, by the fit
+that needs it: a stage scores with the basis of the previous stage's winning
+refit (of the knot-free fit, for stage 1), which `SplineFit` carries.
 """
 from __future__ import annotations
 
@@ -57,6 +59,7 @@ class TargetSeries:
 class SplineFit:
     fitted: np.ndarray
     mse: float
+    basis: np.ndarray  # the design matrix of the fit (`_design_matrix`)
 
 
 @dataclass
@@ -149,7 +152,7 @@ def fit_cubic_spline(series: TargetSeries, interior_knots) -> SplineFit:
         coef = np.linalg.solve(G, A.T @ y)
     fitted = A @ coef
     mse = float(np.mean((y - fitted) ** 2))
-    return SplineFit(fitted=fitted, mse=mse)
+    return SplineFit(fitted=fitted, mse=mse, basis=A)
 
 
 _SCAN_BLOCK = 32  # grid rows per moment block, and candidate columns per guard block
@@ -260,11 +263,12 @@ def _direction_moments(G: np.ndarray, free: np.ndarray, mid: int):
     return rp, qp, pp
 
 
-def _insertion_scores(y: np.ndarray, knots: list[int], free: np.ndarray) -> np.ndarray:
+def _insertion_scores(y: np.ndarray, basis: np.ndarray, free: np.ndarray) -> np.ndarray:
     """MSE of the least-squares fit after adding each free knot, in O(L (k + 5)).
 
-    Adding knot c to a cubic spline space adds the single direction
-    p = (t - c)_+^3, so with Q an orthonormal basis of the current space and
+    basis is the design matrix of the current spline space, as built by
+    `_design_matrix`. Adding knot c to a cubic spline space adds the single
+    direction p = (t - c)_+^3, so with Q an orthonormal basis of that space and
     r = y - QQ'y the new residual sum of squares is RSS - (r'p)^2 / q'q,
     where q'q = p'p - |Q'p|^2 is the squared norm of p projected off Q. The
     direction is built on its shorter side, (c - t)_+^3 left of the middle
@@ -281,7 +285,7 @@ def _insertion_scores(y: np.ndarray, knots: list[int], free: np.ndarray) -> np.n
     which knots it refits, and the exact refits decide.
     """
     L = len(y)
-    Q = np.linalg.qr(_design_matrix(L, knots))[0]
+    Q = np.linalg.qr(basis)[0]
     r = y - Q @ (Q.T @ y)
     rss = float(r @ r)
     mid = int(np.searchsorted(free, (L + 1) / 2.0))
@@ -319,13 +323,17 @@ def greedy_knot_search(series: TargetSeries, k_max: int):
     exact MSE found so far, taking them in order of score. The stage keeps the
     smallest exact MSE, the smallest index among equal ones, and that exact
     MSE enters mse_path, so the result is that of refitting every index.
+
+    The scores of a stage are taken in the basis of the previous stage's
+    winning refit, the knot-free fit's for stage 1, so the scan builds no
+    basis of its own: `_design_matrix` runs once per `fit_cubic_spline`.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     y = series.values
     floor = _SHORTLIST_FLOOR * float(np.mean(y * y))
-    mse_path = [fit_cubic_spline(series, []).mse]
-    if mse_path[0] <= floor:
+    fit = fit_cubic_spline(series, [])
+    if fit.mse <= floor:
         raise DpsTargetError("target series is fit exactly by a cubic without knots "
                              "(constant, linear or cubic), so no knot can lower its MSE")
     L = len(series)
@@ -333,19 +341,23 @@ def greedy_knot_search(series: TargetSeries, k_max: int):
         raise ValueError(f"k_max={k_max} exceeds {L - 5}, the fit limit for length {L}")
 
     knots: list[int] = []
+    mse_path = [fit.mse]
+    admissible = np.arange(L) >= 2  # by index: the knots 2..L-1 not yet chosen
     for _ in range(k_max):
-        free = np.setdiff1d(np.arange(2, L), knots)
-        scores = _insertion_scores(y, knots, free)
+        free = np.flatnonzero(admissible)
+        scores = _insertion_scores(y, fit.basis, free)
         best_idx, best_mse = None, np.inf
         for j in np.argsort(scores, kind="stable"):
             if scores[j] > best_mse * (1.0 + _SHORTLIST_RTOL) + floor:
                 break
             cand = int(free[j])
-            mse = fit_cubic_spline(series, knots + [cand]).mse
-            if mse < best_mse or (mse == best_mse and cand < best_idx):
-                best_mse, best_idx = mse, cand
+            refit = fit_cubic_spline(series, knots + [cand])
+            if refit.mse < best_mse or (refit.mse == best_mse and cand < best_idx):
+                best_mse, best_idx, best = refit.mse, cand, refit
         knots.append(best_idx)
+        admissible[best_idx] = False
         mse_path.append(best_mse)
+        fit = best
     return knots, np.asarray(mse_path)
 
 

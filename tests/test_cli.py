@@ -132,8 +132,16 @@ def test_dps_malformed_csv_names_row(tmp_path, capsys):
     ("dps", b"t,value\n1,1.0\n2,nan\n3,2.0\n4,2.0\n5,2.0\n", "row 3 is not finite"),
     ("dps", b"t,value\n1,1.0\n\n3,1e999\n4,2.0\n5,2.0\n6,1.0\n", "row 4 is not finite"),
     ("dps", b"t,value\n1,\xff\n", "cannot read"),
+    ("dps", b"t,value\n1,1.0\n2,1_000\n3,2.0\n4,2.0\n5,2.0\n", "row 3 is not numeric"),
+    ("simulate", "x1,x2\n0.1,0.2\n0.3,\u0663\n".encode(), "row 3 is not numeric"),
+    ("simulate", b"x1,x2\n0.1,0.2\n0.3,0.4\n0.5,0.6,0.7\n0.8,0.9\n",
+     "row 4 has 3 fields, expected 2"),
+    ("dps", b't,value\n1,1.0\n2,2.0\n3,"abc"\n4,2.0\n5,2.0\n', "row 4 is not numeric"),
+    ("simulate", b"x1,x2\n0.1,0.2\x1c\n", "row 2 is not numeric"),
+    ("simulate", b'x1,x2\n"0.1\n",0.2\n', "row 2 has 1 fields, expected 2"),
 ], ids=["ragged", "nan", "inf", "blank-before-bad", "series-nan", "series-overflow",
-        "not-utf8"])
+        "not-utf8", "digit-group-underscore", "arabic-indic-digit", "widening-row",
+        "quoted-word", "ascii-separator", "quote-across-lines"])
 def test_malformed_csv_is_input_error(tmp_path, capsys, cmd, content, message):
     bad = tmp_path / "bad.csv"
     bad.write_bytes(content)

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import stat
@@ -8,11 +9,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyncal.simulators import (BLIZNYUK_SPEC, EASOM_SPEC, ExternalSimulator,
                                ProcessError, ProtocolError, SimulatorSpec,
                                SimulatorTimeout, bliznyuk, easom,
-                               get_simulator, harari_steinberg, target_series)
+                               get_simulator, harari_steinberg, read_csv,
+                               target_series)
 
 
 def test_easom_at_origin():
@@ -34,6 +38,13 @@ def test_easom_target_series_matches_direct():
     want = easom([0.8, 0.2], EASOM_SPEC.time_grid)
     assert np.array_equal(got, want)
     assert len(got) == 200
+
+
+@pytest.mark.parametrize("lookup", [get_simulator, target_series])
+def test_unknown_simulator_names_the_choices(lookup):
+    with pytest.raises(ValueError, match=r"unknown simulator 'nope'; choose from "
+                                         r"\['bliznyuk', 'easom', 'harari_steinberg'\]"):
+        lookup("nope")
 
 
 def test_harari_steinberg_at_origin():
@@ -249,16 +260,57 @@ def test_external_bad_header(tmp_path):
     "1,7.25\n2,7.25\n3,7.25\n4,7.25\n5,7.25\n",
     "T , Value\n\n1,7.25\n2,7.25\n3,7.25\n4,7.25\n5,7.25\n\n",
     "\ufefft,value\n1,7.25\n2,7.25\n3,7.25\n4,7.25\n5,7.25\n",
-], ids=["no-header", "blank-lines", "byte-order-mark"])
+    "t,value\r\n1,7.25\r\n2,7.25\r\n3,7.25\r\n4,7.25\r\n5,7.25\r\n",
+    "t,value\n 1 ,\t7.25\n2\t, 7.25 \n  3,7.25\t\t\n4 , 7.25\n5,7.25   \n",
+    '"t","value"\n"1","7.25"\n2,"7.25"\n"3",7.25\n"4" ,"7.25"\t\n5,"7.25"\n',
+], ids=["no-header", "blank-lines", "byte-order-mark", "crlf", "padded", "quoted"])
 def test_external_output_is_read_like_every_csv(tmp_path, text):
-    """The header is optional and case-insensitive, blank lines are skipped and
-    a leading UTF-8 byte-order mark is dropped."""
+    """The header is optional and case-insensitive, blank lines are skipped, a
+    leading UTF-8 byte-order mark is dropped, lines may end in CRLF, and cells
+    may be quoted or padded with spaces and tabs."""
     exe = _write_executable(tmp_path / "sim.py", f"""
-        with open("output.csv", "w", encoding="utf-8") as fh:
+        with open("output.csv", "w", encoding="utf-8", newline="") as fh:
             fh.write({text!r})
     """)
     sim = ExternalSimulator(_tiny_spec(), [exe], tmp_path / "xchg")
     assert np.array_equal(sim.run([0.5, 0.5]), np.full(5, 7.25))
+
+
+def _cell(value, form, before, after, quote):
+    return quote + before + form.format(value) + after + quote
+
+
+_CELL = st.builds(
+    _cell, st.floats(-1e300, 1e300),  # so that no format rounds up to infinity
+    st.sampled_from(["{!r}", "{:.17g}", "{:.3e}", "{:.0f}", "{:+.20E}", "{:.8f}"]),
+    st.sampled_from(["", " ", "\t", "  \t"]), st.sampled_from(["", " ", "\t "]),
+    st.sampled_from(["", '"']))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.lists(_CELL, min_size=3, max_size=3), max_size=12),
+       end=st.sampled_from(["\n", "\r\n", "\r"]), header=st.booleans())
+def test_read_csv_reads_what_float_reads(tmp_path_factory, rows, end, header):
+    """Python's csv module and float, the reader's reference: the same values,
+    bit for bit, whatever the number's format, padding, quotes or line ends."""
+    lines = [",".join(row) for row in rows]
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    path.write_text(end.join(["a,b,c"] * header + lines) + end, newline="")
+    with open(path, newline="") as fh:
+        want = [[float(v) for v in row] for row in list(csv.reader(fh))[header:]]
+    got = read_csv(path, ["a", "b", "c"])
+    assert got.shape == (len(rows), 3)
+    assert got.tobytes() == np.array(want, dtype=float).reshape(-1, 3).tobytes()
+
+
+def test_external_output_of_only_a_header_has_no_rows(tmp_path):
+    exe = _write_executable(tmp_path / "sim.py", """
+        with open("output.csv", "w") as fh:
+            fh.write("t,value\\n")
+    """)
+    sim = ExternalSimulator(_tiny_spec(), [exe], tmp_path / "xchg")
+    with pytest.raises(ProtocolError, match="expected 5 output rows, got 0"):
+        sim.run([0.5, 0.5])
 
 
 @pytest.mark.parametrize("t3, message", [

@@ -1,3 +1,4 @@
+import collections
 import tracemalloc
 
 import numpy as np
@@ -205,7 +206,18 @@ def test_greedy_scan_matches_brute_force(kind, L, k_frac, seed):
         with pytest.raises(DpsTargetError):
             greedy_knot_search(series, k_max)
         return
-    knots, path = greedy_knot_search(series, k_max)
+    calls = collections.Counter()
+
+    def counting(name):
+        real = getattr(spline_dps, name)
+        return lambda *a: calls.update([name]) or real(*a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_design_matrix", "fit_cubic_spline"):
+            mp.setattr(spline_dps, name, counting(name))
+        knots, path = greedy_knot_search(series, k_max)
+    # the scan builds no basis of its own: it scores in the bases its fits built
+    assert calls["_design_matrix"] == calls["fit_cubic_spline"] > k_max
     ref_knots, ref_path = _brute_force_scan(series, k_max)
     assert knots == ref_knots
     assert np.array_equal(path, ref_path)
@@ -258,7 +270,7 @@ def test_insertion_scores_match_dense_projection(kind, L, count, seed):
     knots = sorted(rng.choice(np.arange(2, L), min(count, L - 6), replace=False).tolist())
     y = _parity_series(kind, L, knots, rng)
     free = np.setdiff1d(np.arange(2, L), knots)
-    got = _insertion_scores(y, knots, free)
+    got = _insertion_scores(y, _design_matrix(L, knots), free)
     want, mse, amplification = _dense_scores(y, knots, free)
     eps = np.finfo(float).eps
     tol = mse * (1e-9 + 16.0 * eps * amplification) + 1e-14 * float(np.mean(y * y))
@@ -292,7 +304,7 @@ def test_crowded_knots_keep_the_exact_choice():
         assert mse == fit_cubic_spline(series, knots[:i]).mse
     before = knots[:8]
     free = np.setdiff1d(np.arange(2, 1500), before)
-    scores = _insertion_scores(series.values, before, free)
+    scores = _insertion_scores(series.values, _design_matrix(1500, before), free)
     slack = 1e-6 * path[9] + 1e-14 * float(np.mean(series.values ** 2))
     for j in np.flatnonzero((free >= 430) & (free <= 470)):
         exact = fit_cubic_spline(series, before + [int(free[j])]).mse
@@ -307,9 +319,10 @@ def test_insertion_scores_memory_stays_linear():
     y = hydrograph(L, 3)
     knots = sorted(np.random.default_rng(0).choice(np.arange(2, L), 10, replace=False).tolist())
     free = np.setdiff1d(np.arange(2, L), knots)
+    basis = _design_matrix(L, knots)
     tracemalloc.start()
     try:
-        _insertion_scores(y, knots, free)
+        _insertion_scores(y, basis, free)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
