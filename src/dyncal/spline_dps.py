@@ -15,12 +15,13 @@ scipy's `BSpline.design_matrix`, which dyncal does not import because
 A stage does not refit the spline once per admissible index. Adding knot c
 adds the one direction p = (t - c)_+^3 to the spline space, so with Q an
 orthonormal basis of the current space and r the residual, an index's score
-needs only r'p, Q'p and p'p. The first two are cubic moments of the columns
-of [r, Q] about c. Each is split at the end of a block of rows into a small
-in-block kernel product and four tail moments, carried from block to block
-by the binomial shift, so a stage costs O(L (k + 5)) where projecting every
-direction would cost O(L^2 (k + 4)). Next to a chosen knot p nearly lies in
-the current space and its projected norm cancels; those few indices are
+needs only r'p, Q'p and p'p: cubic moments of the rows of [r, Q] from c on,
+carried block by block, so a stage costs O(L (k + 5)) where projecting every
+direction would cost O(L^2 (k + 4)). Left of the middle the direction is
+taken as (c - t)_+^3, which is (t' - c')_+^3 on the mirrored grid
+t' = L + 1 - t, so one routine scores the right half of the series and the
+right half of its mirror image. Next to a chosen knot p nearly lies in the
+current space and its projected norm cancels; those few indices are
 projected explicitly instead. The scores are still rounded, so the indices
 whose score is within a small tolerance of the best are refit exactly with
 `fit_cubic_spline`, and the exact fits decide: the knots and MSE path are
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulators import _numbers
+from .simulators import _numbers, check_integer
 
 
 @dataclass
@@ -130,13 +131,13 @@ def _design_matrix(n: int, interior_knots) -> np.ndarray:
 def fit_cubic_spline(series: TargetSeries, interior_knots) -> SplineFit:
     """Least-squares cubic spline fit with the given interior knots.
 
-    Knots are time indices strictly inside (1, L), distinct. If the design is
-    numerically rank deficient, the normal equations are solved with a 1e-10
-    ridge instead. Runs of adjacent knots next to t = 1 do that: on L = 200,
-    the knots 2, 3, ..., 24 already leave lstsq one rank short.
+    Knots are integer time indices strictly inside (1, L), distinct. If the
+    design is numerically rank deficient, the normal equations are solved
+    with a 1e-10 ridge instead. Runs of adjacent knots next to t = 1 do that:
+    on L = 200, the knots 2, 3, ..., 24 already leave lstsq one rank short.
     """
     L = len(series)
-    knots = sorted(int(k) for k in interior_knots)
+    knots = sorted(int(check_integer(k, "interior knot")) for k in interior_knots)
     if len(set(knots)) != len(knots):
         raise ValueError("interior knots must be distinct")
     if knots and (knots[0] <= 1 or knots[-1] >= L):
@@ -211,21 +212,19 @@ def _cubic_tail_moments(G: np.ndarray) -> np.ndarray:
     return S.reshape(nb * B, m)[:n]
 
 
-def _projected_gains(Q: np.ndarray, r: np.ndarray, c: np.ndarray, left: bool) -> np.ndarray:
-    """(r'q)^2 / q'q for each knot in c, with q its direction projected off Q
-    explicitly, in blocks of _SCAN_BLOCK columns written in place."""
-    L = len(r)
-    t = np.arange(1.0, L + 1.0)[:, None]
-    V = np.empty((L, min(len(c), _SCAN_BLOCK)))
+def _projected_gains(Q: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(r'q)^2 / q'q for each knot in c, with q the direction (t - c)_+^3
+    projected off Q explicitly, in blocks of _SCAN_BLOCK columns written in place.
+    A mirrored (reversed) Q or r is copied once: BLAS takes neither as it is."""
+    Q, r = np.ascontiguousarray(Q), np.ascontiguousarray(r)
+    t = np.arange(1.0, len(r) + 1.0)[:, None]
+    V = np.empty((len(r), min(len(c), _SCAN_BLOCK)))
     W = np.empty_like(V)
     gain = np.empty(len(c))
     for start in range(0, len(c), _SCAN_BLOCK):
         cc = c[start:start + _SCAN_BLOCK].astype(float)
         P, T = V[:, :len(cc)], W[:, :len(cc)]
-        if left:
-            np.subtract(cc, t, out=P)
-        else:
-            np.subtract(t, cc, out=P)
+        np.subtract(t, cc, out=P)
         np.maximum(P, 0.0, out=P)
         np.multiply(P, P, out=T)
         np.multiply(T, P, out=P)
@@ -237,66 +236,55 @@ def _projected_gains(Q: np.ndarray, r: np.ndarray, c: np.ndarray, left: bool) ->
     return gain
 
 
-def _direction_moments(G: np.ndarray, free: np.ndarray, mid: int):
-    """r'p, |Q'p|^2 and p'p for the direction p of each free knot, G being [r, Q].
+def _gains(Q: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(r'q)^2 / q'q for the direction p = (t - c)_+^3 of each increasing,
+    1-based knot in c, with q = p projected off Q.
 
-    p is (c - t)_+^3 for the first mid knots and (t - c)_+^3 for the others.
-    Each side reverses or cuts the rows of G so that the moments about c are
-    sums over the rows from c on (`_cubic_tail_moments`). p'p is the closed
-    form of the sum of s^6, which rounds about six times less than a
-    cumulative sum does at L = 20,000.
+    r'p and Q'p are the moments about c of the rows of [r, Q] from c on
+    (`_cubic_tail_moments`). p'p is the closed form of the sum of s^6, which
+    rounds about six times less than a cumulative sum does at L = 20,000.
+    Knots with q'q below _GUARD_RTOL * p'p are projected explicitly.
     """
-    rp, qp, pp = np.empty(len(free)), np.empty(len(free)), np.empty(len(free))
-    for part, left in ((slice(0, mid), True), (slice(mid, len(free)), False)):
-        c = free[part]
-        if not len(c):
-            continue
-        if left:  # rows from the last knot of the side back to t = 1
-            rows, offset = G[c[-1] - 1::-1], c[-1] - c
-        else:  # rows from the first knot of the side on to t = L
-            rows, offset = G[c[0] - 1:], c - c[0]
-        S = _cubic_tail_moments(rows)[offset]
-        rp[part] = S[:, 0]
-        qp[part] = np.einsum("ij,ij->i", S[:, 1:], S[:, 1:])
-        n = (len(rows) - 1 - offset).astype(float)  # p'p = sum of s^6 for s = 1..n
-        pp[part] = n * (n + 1) * (2 * n + 1) * (3 * n**4 + 6 * n**3 - 3 * n + 1) / 42
-    return rp, qp, pp
+    if not len(c):
+        return np.empty(0)
+    S = _cubic_tail_moments(np.column_stack([r[c[0] - 1:], Q[c[0] - 1:]]))[c - c[0]]
+    n = (len(r) - c).astype(float)  # p'p = sum of s^6 for s = 1..n
+    pp = n * (n + 1) * (2 * n + 1) * (3 * n**4 + 6 * n**3 - 3 * n + 1) / 42
+    qq = pp - np.einsum("ij,ij->i", S[:, 1:], S[:, 1:])
+    guard = qq < _GUARD_RTOL * pp
+    gain = np.divide(np.square(S[:, 0]), qq, out=np.empty(len(c)), where=~guard)
+    if guard.any():
+        gain[guard] = _projected_gains(Q, r, c[guard])
+    return gain
 
 
 def _insertion_scores(y: np.ndarray, basis: np.ndarray, free: np.ndarray) -> np.ndarray:
     """MSE of the least-squares fit after adding each free knot, in O(L (k + 5)).
 
-    basis is the design matrix of the current spline space, as built by
-    `_design_matrix`. Adding knot c to a cubic spline space adds the single
-    direction p = (t - c)_+^3, so with Q an orthonormal basis of that space and
-    r = y - QQ'y the new residual sum of squares is RSS - (r'p)^2 / q'q,
-    where q'q = p'p - |Q'p|^2 is the squared norm of p projected off Q. The
-    direction is built on its shorter side, (c - t)_+^3 left of the middle
-    (equal to (t - c)_+^3 up to a cubic), which keeps its norm and hence the
-    cancellation small. r'p and Q'p are cubic moments of the columns of
-    [r, Q] about c, taken for every knot at once (`_direction_moments`).
+    basis is the design matrix of the current spline space (`_design_matrix`).
+    With Q an orthonormal basis of that space and r = y - QQ'y, knot c leaves
+    the residual sum of squares RSS - (r'p)^2 / q'q, where p is the direction
+    it adds and q'q = p'p - |Q'p|^2 its squared norm projected off Q
+    (`_gains`). p is taken on its shorter side, which keeps p'p and hence the
+    cancellation small: (t - c)_+^3 right of the middle, and left of it
+    (c - t)_+^3, equal to (t - c)_+^3 up to a cubic. That is (t' - c')_+^3 on
+    the mirrored grid t' = L + 1 - t, so the left half is scored as the right
+    half of the reversed series, in the reversed basis.
 
-    Next to a chosen knot p nearly lies in the current space and q'q cancels,
-    so the rounding of |Q'p|^2 grows by p'p / q'q. Knots with q'q below
-    _GUARD_RTOL * p'p are therefore scored by projecting p off Q explicitly
-    (`_projected_gains`); about 3% of them are. Above the guard a score can
-    still be off by a few 1e-8 of the current MSE, while the shortlist of
-    `greedy_knot_search` admits 1e-6 of the best MSE: the scores only choose
-    which knots it refits, and the exact refits decide.
+    Next to a chosen knot q'q cancels and the rounding of |Q'p|^2 grows by
+    p'p / q'q, so knots with q'q below _GUARD_RTOL * p'p are projected
+    explicitly (`_projected_gains`); about 3% of them are. Above the guard a
+    score can still be off by a few 1e-8 of the current MSE, while the
+    shortlist of `greedy_knot_search` admits 1e-6 of the best MSE: the scores
+    only choose which knots it refits, and the exact refits decide.
     """
     L = len(y)
     Q = np.linalg.qr(basis)[0]
     r = y - Q @ (Q.T @ y)
-    rss = float(r @ r)
     mid = int(np.searchsorted(free, (L + 1) / 2.0))
-    rp, qp, pp = _direction_moments(np.column_stack([r, Q]), free, mid)
-    qq = pp - qp
-    guard = qq < _GUARD_RTOL * pp
-    gain = np.divide(np.square(rp), qq, out=np.empty(len(free)), where=~guard)
-    left = np.arange(len(free)) < mid
-    for side, is_left in ((left, True), (~left, False)):
-        gain[guard & side] = _projected_gains(Q, r, free[guard & side], is_left)
-    return np.maximum(rss - gain, 0.0) / L
+    left = _gains(Q[::-1], r[::-1], L + 1 - free[:mid][::-1])[::-1]
+    gain = np.concatenate([left, _gains(Q, r, free[mid:])])
+    return np.maximum(float(r @ r) - gain, 0.0) / L
 
 
 class DpsTargetError(ValueError):
@@ -311,11 +299,12 @@ def greedy_knot_search(series: TargetSeries, k_max: int):
     chosen; ties go to the smallest index. Returns (ordered_knots, mse_path)
     where mse_path[0] is the knot-free cubic fit.
 
-    ValueError unless 1 <= k_max <= L - 5. DpsTargetError when the knot-free
-    fit already reaches the shortlist's absolute slack: on a constant, linear
-    or cubic series every score ties within it, so every stage would refit
-    every index and return knots chosen by rounding. The checks run in that
-    order: k_max >= 1, the cubic fit, then k_max <= L - 5.
+    ValueError unless k_max is an integer with 1 <= k_max <= L - 5.
+    DpsTargetError when the knot-free fit already reaches the shortlist's
+    absolute slack: on a constant, linear or cubic series every score ties
+    within it, so every stage would refit every index and return knots chosen
+    by rounding. The checks run in that order: k_max an integer >= 1, the
+    cubic fit, then k_max <= L - 5.
 
     Each stage scores every admissible index at once (`_insertion_scores`),
     then refits with `fit_cubic_spline` every index whose score lies within
@@ -328,7 +317,7 @@ def greedy_knot_search(series: TargetSeries, k_max: int):
     winning refit, the knot-free fit's for stage 1, so the scan builds no
     basis of its own: `_design_matrix` runs once per `fit_cubic_spline`.
     """
-    if k_max < 1:
+    if check_integer(k_max, "k_max") < 1:
         raise ValueError("k_max must be at least 1")
     y = series.values
     floor = _SHORTLIST_FLOOR * float(np.mean(y * y))
@@ -389,12 +378,15 @@ def build_dps(series: TargetSeries, k_max: int | None = None) -> DpsResult:
     """Full pipeline: greedy knot sequence, MSE path, elbow cut.
 
     k_max None is the default knot budget, K_MAX_DEFAULT or L - 5 when that
-    is smaller. DpsTargetError first on a series shorter than K_MAX_LEAST + 5
-    points, which no budget fits; then ValueError unless k_max >= K_MAX_LEAST,
-    the least the elbow cut reads. The other refusals, k_max above L - 5 and
+    is smaller. ValueError first unless k_max is None or an integer; then
+    DpsTargetError on a series shorter than K_MAX_LEAST + 5 points, which no
+    budget fits; then ValueError unless k_max >= K_MAX_LEAST, the least the
+    elbow cut reads. The other refusals, k_max above L - 5 and
     the DpsTargetError of a series that a knot-free cubic fits, are
     `greedy_knot_search`'s.
     """
+    if k_max is not None:
+        check_integer(k_max, "k_max")
     least = K_MAX_LEAST + 5
     if len(series) < least:
         raise DpsTargetError(f"a DPS needs a series of at least {least} points, "

@@ -1,4 +1,5 @@
 import collections
+import re
 import tracemalloc
 
 import numpy as np
@@ -136,6 +137,11 @@ def test_fit_rejects_bad_knots():
         fit_cubic_spline(series, [40])
     with pytest.raises(ValueError):
         fit_cubic_spline(series, list(range(2, 39)))
+    for knot in (2.5, 5.0, "5", True):
+        with pytest.raises(ValueError, match=re.escape(f"interior knot must be an integer, "
+                                                       f"got {knot!r}")):
+            fit_cubic_spline(series, [9, knot])
+    assert fit_cubic_spline(series, np.array([5, 9])).mse == fit_cubic_spline(series, [5, 9]).mse
 
 
 def test_target_series_validation():
@@ -277,6 +283,29 @@ def test_insertion_scores_match_dense_projection(kind, L, count, seed):
     assert np.all(np.abs(got - want) <= tol)
 
 
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["walk", "sine", "hydrograph", "spline"]),
+       L=st.integers(8, 600), count=st.integers(0, 12), seed=st.integers(0, 2**31))
+@example(kind="hydrograph", L=600, count=12, seed=4)
+@example(kind="spline", L=300, count=6, seed=0)
+def test_insertion_scores_are_mirror_symmetric(kind, L, count, seed):
+    """Reversing the series and its knots (k -> L + 1 - k) reverses the
+    scores, within the tolerance of the dense projection test: the scan
+    scores each half of the series as the right half of itself or of its
+    mirror image, and the reversed run swaps the two, in another basis."""
+    rng = np.random.default_rng(seed)
+    knots = sorted(rng.choice(np.arange(2, L), min(count, L - 6), replace=False).tolist())
+    y = _parity_series(kind, L, knots, rng)
+    free = np.setdiff1d(np.arange(2, L), knots)
+    got = _insertion_scores(y, _design_matrix(L, knots), free)
+    mirrored = sorted(L + 1 - k for k in knots)
+    back = _insertion_scores(y[::-1], _design_matrix(L, mirrored), L + 1 - free[::-1])[::-1]
+    _, mse, amplification = _dense_scores(y, knots, free)
+    eps = np.finfo(float).eps
+    tol = mse * (1e-9 + 16.0 * eps * amplification) + 1e-14 * float(np.mean(y * y))
+    assert np.all(np.abs(got - back) <= tol)
+
+
 def hydrograph(L, seed, storms=60):
     """Synthetic daily runoff (as in perfbench/workloads.py): a two-season
     baseflow plus gamma-shaped storms at random times."""
@@ -292,11 +321,13 @@ def hydrograph(L, seed, storms=60):
     return q
 
 
-def test_crowded_knots_keep_the_exact_choice():
+def test_crowded_knots_keep_the_exact_choice(monkeypatch):
     """Knots 446, 447 and 449 end up side by side. At stage 9 q'q cancels next
     to 446 and 449: without the guard the scores of 445-450 miss their exact
     MSE by up to 48 times the shortlist's slack, and a miss upwards would
-    drop the best knot from the shortlist. With it they miss by under 1%."""
+    drop the best knot from the shortlist. With it they miss by under 1%.
+    The guard projects 54 knots left of the middle, scored on the mirror
+    image, and 55 right of it."""
     series = TargetSeries(hydrograph(1500, 6))
     knots, path = greedy_knot_search(series, 10)
     assert knots == [990, 449, 1085, 326, 748, 446, 778, 1389, 447, 260]
@@ -304,7 +335,12 @@ def test_crowded_knots_keep_the_exact_choice():
         assert mse == fit_cubic_spline(series, knots[:i]).mse
     before = knots[:8]
     free = np.setdiff1d(np.arange(2, 1500), before)
+    guarded = []
+    projected = spline_dps._projected_gains
+    monkeypatch.setattr(spline_dps, "_projected_gains",
+                        lambda Q, r, c: guarded.append(len(c)) or projected(Q, r, c))
     scores = _insertion_scores(series.values, _design_matrix(1500, before), free)
+    assert guarded == [54, 55]
     slack = 1e-6 * path[9] + 1e-14 * float(np.mean(series.values ** 2))
     for j in np.flatnonzero((free >= 430) & (free <= 470)):
         exact = fit_cubic_spline(series, before + [int(free[j])]).mse
@@ -312,9 +348,10 @@ def test_crowded_knots_keep_the_exact_choice():
 
 
 def test_insertion_scores_memory_stays_linear():
-    """One stage at L = 20,000 with 10 knots peaked at 13.9 MB of traced
-    allocations, most of it the guard's two L x 32 projection buffers. A
-    single (L/32) x L array would add 100 MB."""
+    """One stage at L = 20,000 with 10 knots peaked at 17.0 MB of traced
+    allocations, most of it the guard's two L x 32 projection buffers and
+    the contiguous copy of the mirrored basis. A single (L/32) x L array
+    would add 100 MB."""
     L = 20_000
     y = hydrograph(L, 3)
     knots = sorted(np.random.default_rng(0).choice(np.arange(2, L), 10, replace=False).tolist())
@@ -368,6 +405,11 @@ def test_greedy_rejects_bad_kmax():
         greedy_knot_search(series, 0)
     with pytest.raises(ValueError):
         greedy_knot_search(series, 16)
+    for k_max in (2.0, "3", True):
+        with pytest.raises(ValueError, match=re.escape(f"k_max must be an integer, "
+                                                       f"got {k_max!r}")):
+            greedy_knot_search(series, k_max)
+    assert greedy_knot_search(series, np.int64(2))[0] == greedy_knot_search(series, 2)[0]
 
 
 def test_build_dps_rejects_k_max_below_two():
@@ -376,6 +418,13 @@ def test_build_dps_rejects_k_max_below_two():
         with pytest.raises(ValueError, match=f"k_max must be at least 2, got {k_max}"):
             build_dps(series, k_max)
     assert len(build_dps(series, 2).mse_path) == 3
+    # a k_max that is not an integer is refused first, before the series length
+    for k_max in (3.0, "3", True):
+        for values in (series.values, series.values[:6]):
+            with pytest.raises(ValueError, match=re.escape(f"k_max must be an integer, "
+                                                           f"got {k_max!r}")):
+                build_dps(TargetSeries(values), k_max)
+    assert build_dps(series, np.int64(3)).to_dict() == build_dps(series, 3).to_dict()
 
 
 @pytest.mark.parametrize("length", [8, 10, 14])
