@@ -4,7 +4,7 @@ Subcommands:
   dps        target series CSV -> DPS JSON + MSE-path CSV
   calibrate  config JSON -> run directory (sequential contour estimation)
   hm         config JSON -> run directory (history-matching baseline)
-  simulate   simulator + inputs CSV -> responses CSV
+  simulate   simulator name or spec JSON + inputs CSV -> responses CSV
   evaluate   two series CSVs -> metrics JSON
 
 Exit codes: 0 success, 1 unexpected error, 2 invalid config or budget,
@@ -111,7 +111,7 @@ def _build_simulator(sim) -> Simulator:
     if isinstance(sim, str):
         return get_simulator(sim)
     if not isinstance(sim, dict):
-        raise ValueError("config needs 'simulator': a name or an external command spec")
+        raise ValueError("simulator must be a bundled name or an external spec object")
     required = ("d", "L", "bounds", "command")
     _check_keys(sim, "simulator", required + ("name", "time_grid", "exchange_dir", "timeout"),
                 required, ["exchange_dir"])
@@ -156,7 +156,7 @@ def _run_common(args, mode: str) -> int:
     simulator = _build_simulator(cfg.get("simulator"))
     config = cal.MsceConfig(**{f.name: cfg[f.name] for f in fields(cal.MsceConfig)
                                if f.name in cfg})
-    cutoff = cal.checked_cutoff(cfg["cutoff"]) if mode == "hm" else None
+    cutoff = cal.checked_cutoff(cfg["cutoff"]) if "cutoff" in cfg else None
     if "target" in cfg:
         target = cfg["target"]
     elif "target_csv" in cfg:
@@ -174,12 +174,11 @@ def _run_common(args, mode: str) -> int:
         dps = build_dps(series, config.k_max)
         result = cal.hm_run(simulator, series, dps, config.n0, cutoff, config)
 
-    recorded = ("target", "target_csv") + (("cutoff",) if mode == "hm" else ())
     resolved = cal.resolved_config_dict(config, extra={
         "k_max": len(result.dps.mse_path) - 1,  # the knot budget the scan used
         "mode": mode,
         "simulator": cfg.get("simulator"),
-        **{k: cfg[k] for k in recorded if k in cfg},
+        **{k: cfg[k] for k in ("target", "target_csv", "cutoff") if k in cfg},
     })
     cal.write_run_artifacts(out_dir, result, resolved, simulator)
     print(f"x_opt: {[round(float(v), 6) for v in result.x_opt]}  "
@@ -189,9 +188,8 @@ def _run_common(args, mode: str) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    simulator = _build_simulator(args.simulator or {
-        "command": args.command, "d": args.d, "L": args.L,
-        "bounds": [[0.0, 1.0]] * args.d, "exchange_dir": args.exchange_dir})
+    value = args.simulator
+    simulator = _build_simulator(_load_config(value) if Path(value).is_file() else value)
     inputs = read_csv(args.inputs, [f"x{k + 1}" for k in range(simulator.spec.d)])
     out_path = Path(args.out or "responses.csv")
     _writable(out_path, file=True)
@@ -240,15 +238,12 @@ def _parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=lambda a, m=mode: _run_common(a, m))
 
     sp = sub.add_parser("simulate", help="batch-evaluate a simulator")
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--simulator", choices=["easom", "harari_steinberg", "bliznyuk"])
-    group.add_argument("--command", help="external simulator command line, split like a shell")
+    sp.add_argument("--simulator", required=True,
+                    help="bundled name, or a JSON file holding an external spec "
+                         "as a run config's 'simulator' key does")
     sp.add_argument("inputs", help="inputs CSV (native units; header x1..xd optional)")
     sp.add_argument("--scaled", action="store_true",
                     help="treat inputs as already scaled to [0,1]^d")
-    sp.add_argument("--d", type=int, default=1, help="dimension for --command")
-    sp.add_argument("--L", type=int, default=200, help="series length for --command")
-    sp.add_argument("--exchange-dir", default="")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_simulate)
 

@@ -438,8 +438,8 @@ def test_negative_seed_flag_is_config_error(tmp_path, capsys, monkeypatch):
 
 
 def test_config_command_string_is_split_like_a_shell(tmp_path, monkeypatch):
-    """A config's command string is split as `simulate --command` splits it:
-    an interpreter and a quoted script path with a space are two words."""
+    """A config's command string is split like a shell: an interpreter and a
+    quoted script path with a space are two words."""
     monkeypatch.delenv(cli.EXCHANGE_DIR_ENV, raising=False)
     script = tmp_path / "my sims" / "const_sim.py"
     script.parent.mkdir()
@@ -540,6 +540,34 @@ def test_hm_requires_positive_cutoff(tmp_path, capsys):
     assert rc == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("cutoff, message", [
+    ("abc", "cutoff must be a number, got 'abc'"),
+    (math.nan, "cutoff must be finite, got nan"),
+    (0, "implausibility cutoff must be positive, got 0.0"),
+    (-1, "implausibility cutoff must be positive, got -1.0"),
+], ids=["string", "nan", "zero", "negative"])
+def test_calibrate_checks_a_given_cutoff_before_any_run(tmp_path, capsys, monkeypatch,
+                                                        cutoff, message):
+    """calibrate does not use a cutoff, but one it is given is checked as hm
+    checks it: before any run, and nothing is written."""
+    made = []
+    monkeypatch.setattr(cli, "get_simulator", lambda name: made.append(get_simulator(name))
+                        or made[-1])
+    cfg = toy_calibrate_config(tmp_path, cutoff=cutoff)
+    rc = cli.main(["calibrate", cfg, "--out-dir", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert [sim.calls for sim in made] == [0]
+    assert not (tmp_path / "run").exists()
+
+
+def test_calibrate_records_a_given_cutoff(tmp_path):
+    cfg = toy_calibrate_config(tmp_path, cutoff=2)
+    assert cli.main(["calibrate", cfg, "--out-dir", str(tmp_path / "run")]) == 0
+    recorded = json.loads((tmp_path / "run" / "config.json").read_text())["cutoff"]
+    assert recorded == 2 and type(recorded) is int
+
+
 def test_hm_run_dir_and_audit(tmp_path):
     cfg = toy_calibrate_config(tmp_path, cutoff=2.0, hm_stage_cap=4,
                                hm_stage_limit=2)
@@ -612,6 +640,15 @@ def test_simulate_dimension_mismatch(tmp_path, capsys):
     assert rc == cli.EXIT_PARSE
 
 
+def write_spec(path, **spec):
+    """A spec file for `simulate --simulator`: the object a run config's
+    'simulator' key holds for an external executable, with d inputs on [0, 1]
+    unless given (d 1 by default)."""
+    spec = {"d": 1, "bounds": [[0, 1]] * spec.get("d", 1), **spec}
+    Path(path).write_text(json.dumps(spec))
+    return str(path)
+
+
 def test_simulate_external_command(tmp_path):
     exe = tmp_path / "echo_sim.py"
     exe.write_text(f"#!{sys.executable}\n" + textwrap.dedent("""
@@ -624,21 +661,21 @@ def test_simulate_external_command(tmp_path):
     inputs = tmp_path / "inputs.csv"
     inputs.write_text("x1\n0.25\n")
     out = tmp_path / "resp.csv"
-    rc = cli.main(["simulate", "--command", str(exe), str(inputs), "--scaled",
-                   "--d", "1", "--L", "5", "--exchange-dir",
-                   str(tmp_path / "xchg"), "--out", str(out)])
+    spec = write_spec(tmp_path / "spec.json", command=[str(exe)], L=5,
+                      exchange_dir=str(tmp_path / "xchg"))
+    rc = cli.main(["simulate", "--simulator", spec, str(inputs), "--scaled", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 6
     assert all(line.endswith("3.5") for line in lines[1:])
 
 
-@pytest.mark.parametrize("flags, inputs, field", [
-    (["--d", "2", "--L", "0"], "x1,x2\n0.5,0.5\n", "L"),
-    (["--d", "0", "--L", "3"], "", "d"),
-])
+@pytest.mark.parametrize("d, L, inputs, field", [
+    (2, 0, "x1,x2\n0.5,0.5\n", "L"),
+    (0, 3, "", "d"),
+], ids=["L", "d"])
 def test_simulate_refuses_a_dimension_or_length_below_one_before_any_launch(
-        tmp_path, capsys, flags, inputs, field):
+        tmp_path, capsys, d, L, inputs, field):
     exe = tmp_path / "logging_sim.py"
     exe.write_text(f"#!{sys.executable}\n" + textwrap.dedent(f"""
         with open({str(tmp_path / "launches.log")!r}, "a") as fh:
@@ -649,8 +686,10 @@ def test_simulate_refuses_a_dimension_or_length_below_one_before_any_launch(
     exe.chmod(exe.stat().st_mode | stat.S_IEXEC)
     (tmp_path / "inputs.csv").write_text(inputs)
     out = tmp_path / "resp.csv"
-    rc = cli.main(["simulate", "--command", str(exe), str(tmp_path / "inputs.csv"), *flags,
-                   "--exchange-dir", str(tmp_path / "xchg"), "--out", str(out)])
+    spec = write_spec(tmp_path / "spec.json", command=[str(exe)], d=d, L=L,
+                      exchange_dir=str(tmp_path / "xchg"))
+    rc = cli.main(["simulate", "--simulator", spec, str(tmp_path / "inputs.csv"),
+                   "--out", str(out)])
     assert rc == cli.EXIT_CONFIG
     assert f"config error: simulator {field} must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "launches.log").exists()
@@ -659,7 +698,8 @@ def test_simulate_refuses_a_dimension_or_length_below_one_before_any_launch(
 
 @pytest.mark.parametrize("env", ["", "from_env"])
 def test_simulate_external_exchange_dir_precedence(tmp_path, monkeypatch, env):
-    """A non-empty DYNCAL_EXCHANGE_DIR wins over --exchange-dir; an empty one is unset."""
+    """A non-empty DYNCAL_EXCHANGE_DIR wins over the spec's exchange_dir; an
+    empty one is unset."""
     log = tmp_path / "cwd.txt"
     exe = tmp_path / "cwd_sim.py"
     exe.write_text(f"#!{sys.executable}\n" + textwrap.dedent(f"""
@@ -672,14 +712,15 @@ def test_simulate_external_exchange_dir_precedence(tmp_path, monkeypatch, env):
     exe.chmod(exe.stat().st_mode | stat.S_IEXEC)
     inputs = tmp_path / "inputs.csv"
     inputs.write_text("x1\n0.25\n")
+    spec = write_spec(tmp_path / "spec.json", command=[str(exe)], L=2,
+                      exchange_dir=str(tmp_path / "from_spec"))
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
     monkeypatch.setenv(cli.EXCHANGE_DIR_ENV, str(tmp_path / env) if env else "")
-    rc = cli.main(["simulate", "--command", str(exe), str(inputs), "--d", "1", "--L", "2",
-                   "--exchange-dir", str(tmp_path / "from_flag"), "--out", "resp.csv"])
+    rc = cli.main(["simulate", "--simulator", spec, str(inputs), "--out", "resp.csv"])
     assert rc == 0
-    assert Path(log.read_text()).parent == (tmp_path / (env or "from_flag")).resolve()
+    assert Path(log.read_text()).parent == (tmp_path / (env or "from_spec")).resolve()
     assert sorted(p.name for p in work.iterdir()) == ["resp.csv"]
 
 
@@ -697,9 +738,9 @@ def test_simulate_command_is_split_like_a_shell(tmp_path):
     inputs = tmp_path / "inputs.csv"
     inputs.write_text("x1\n0.25\n")
     out = tmp_path / "resp.csv"
-    rc = cli.main(["simulate", "--command", f"{shlex.quote(str(exe))} 2.5 '-1.5'",
-                   str(inputs), "--d", "1", "--L", "2", "--exchange-dir",
-                   str(tmp_path / "xchg"), "--out", str(out)])
+    spec = write_spec(tmp_path / "spec.json", command=f"{shlex.quote(str(exe))} 2.5 '-1.5'",
+                      L=2, exchange_dir=str(tmp_path / "xchg"))
+    rc = cli.main(["simulate", "--simulator", spec, str(inputs), "--out", str(out)])
     assert rc == 0
     assert out.read_text() == "t,y1\n1.0,2.5\n2.0,-1.5\n"
 
@@ -707,8 +748,9 @@ def test_simulate_command_is_split_like_a_shell(tmp_path):
 def test_simulate_unbalanced_quote_is_config_error(tmp_path, capsys):
     inputs = tmp_path / "inputs.csv"
     inputs.write_text("x1\n0.25\n")
-    rc = cli.main(["simulate", "--command", "'./my sim", str(inputs), "--d", "1",
-                   "--exchange-dir", str(tmp_path / "x")])
+    spec = write_spec(tmp_path / "spec.json", command="'./my sim", L=200,
+                      exchange_dir=str(tmp_path / "x"))
+    rc = cli.main(["simulate", "--simulator", spec, str(inputs)])
     assert rc == cli.EXIT_CONFIG
     assert "config error: No closing quotation" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
@@ -717,8 +759,9 @@ def test_simulate_unbalanced_quote_is_config_error(tmp_path, capsys):
 def test_simulate_empty_command_is_config_error(tmp_path, capsys):
     inputs = tmp_path / "inputs.csv"
     inputs.write_text("x1\n0.25\n")
-    rc = cli.main(["simulate", "--command", "", str(inputs), "--d", "1", "--L", "5",
-                   "--exchange-dir", str(tmp_path / "x")])
+    spec = write_spec(tmp_path / "spec.json", command="", L=5,
+                      exchange_dir=str(tmp_path / "x"))
+    rc = cli.main(["simulate", "--simulator", spec, str(inputs)])
     assert rc == cli.EXIT_CONFIG
     assert "simulator command must not be empty" in capsys.readouterr().err
 
@@ -729,9 +772,111 @@ def test_simulate_external_protocol_error_exit(tmp_path, capsys):
     exe.chmod(exe.stat().st_mode | stat.S_IEXEC)
     inputs = tmp_path / "inputs.csv"
     inputs.write_text("x1\n0.25\n")
-    rc = cli.main(["simulate", "--command", str(exe), str(inputs), "--scaled",
-                   "--d", "1", "--L", "5", "--exchange-dir", str(tmp_path / "x")])
+    spec = write_spec(tmp_path / "spec.json", command=[str(exe)], L=5,
+                      exchange_dir=str(tmp_path / "x"))
+    rc = cli.main(["simulate", "--simulator", spec, str(inputs), "--scaled"])
     assert rc == cli.EXIT_PROCESS
+
+
+def test_simulate_takes_the_spec_timeout(tmp_path, capsys):
+    """A run that outlasts the spec's timeout of 0.5 s is killed and exits 4."""
+    exe = tmp_path / "slow_sim.py"
+    exe.write_text(f"#!{sys.executable}\nimport time\ntime.sleep(30)\n")
+    exe.chmod(exe.stat().st_mode | stat.S_IEXEC)
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_text("x1\n0.25\n")
+    spec = write_spec(tmp_path / "spec.json", command=[str(exe)], L=5, timeout=0.5,
+                      exchange_dir=str(tmp_path / "x"))
+    rc = cli.main(["simulate", "--simulator", spec, str(inputs), "--out",
+                   str(tmp_path / "resp.csv")])
+    assert rc == cli.EXIT_PROCESS
+    assert "simulator error: simulator exceeded 0.5s" in capsys.readouterr().err
+    assert not (tmp_path / "resp.csv").exists()
+
+
+def test_simulate_writes_the_spec_time_grid(tmp_path):
+    exe = tmp_path / "grid_sim.py"
+    exe.write_text(f"#!{sys.executable}\n" + textwrap.dedent("""
+        with open("output.csv", "w") as fh:
+            fh.write("t,value\\n1,0.5\\n2,1.5\\n3,2.5\\n")
+    """))
+    exe.chmod(exe.stat().st_mode | stat.S_IEXEC)
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_text("x1\n0.25\n")
+    out = tmp_path / "resp.csv"
+    spec = write_spec(tmp_path / "spec.json", command=[str(exe)], L=3,
+                      time_grid=[0.25, 0.5, 12.0], exchange_dir=str(tmp_path / "x"))
+    rc = cli.main(["simulate", "--simulator", spec, str(inputs), "--out", str(out)])
+    assert rc == 0
+    assert out.read_text() == "t,y1\n0.25,0.5\n0.5,1.5\n12.0,2.5\n"
+
+
+def test_simulate_replays_an_external_calibrate_run(tmp_path, monkeypatch):
+    """simulate with the spec a calibrate run recorded, on the scaled inputs
+    of its training.csv, writes that run's responses.csv byte for byte: both
+    commands launch the same simulator."""
+    monkeypatch.delenv(cli.EXCHANGE_DIR_ENV, raising=False)
+    exe = tmp_path / "bump_sim.py"
+    exe.write_text(f"#!{sys.executable}\n" + textwrap.dedent("""
+        import csv, math
+        with open("input.csv", newline="") as fh:
+            x1, x2 = (float(v) for v in list(csv.reader(fh))[1])
+        with open("output.csv", "w") as fh:
+            for i in range(40):
+                t = i / 39
+                fh.write(f"{t!r},{math.exp(-(x1 - 1.6 * t) ** 2) * math.cos(3 * x2 * t)!r}\\n")
+    """))
+    exe.chmod(exe.stat().st_mode | stat.S_IEXEC)
+    t = np.linspace(0.0, 1.0, 40)
+    cfg = toy_calibrate_config(
+        tmp_path, target=(np.exp(-(0.9 - 1.6 * t) ** 2) * np.cos(1.2 * t)).tolist(),
+        simulator={"command": [str(exe)], "d": 2, "L": 40, "bounds": [[0.1, 1.7], [0, 1]],
+                   "time_grid": (0.5 + 0.25 * np.arange(40)).tolist(), "timeout": 30,
+                   "exchange_dir": str(tmp_path / "xchg")})
+    run = tmp_path / "run"
+    assert cli.main(["calibrate", cfg, "--out-dir", str(run)]) == 0
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(json.loads((run / "config.json").read_text())["simulator"]))
+    with open(run / "training.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    columns = [i for i, name in enumerate(rows[0]) if name.startswith("x")]
+    assert len(rows) == 13 and len(columns) == 2
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_text("".join(",".join(row[i] for i in columns) + "\n" for row in rows))
+    out = tmp_path / "replay.csv"
+    rc = cli.main(["simulate", "--simulator", str(spec), str(inputs), "--scaled",
+                   "--out", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == (run / "responses.csv").read_bytes()
+
+
+def test_simulate_runs_a_rainfall_runoff_model(tmp_path):
+    """A Nash-cascade rainfall-runoff model, launched as an interpreter and a
+    script, on native inputs (runoff coefficient, storage constant in hours,
+    reservoir count) and an hourly grid: each series is the oracle's sum of
+    one scaled unit hydrograph per wet hour, and t is the spec's grid."""
+    import nash_cascade_sim as nash
+    grid = [float(h) for h in range(nash.L)]
+    spec = write_spec(tmp_path / "spec.json", command=[sys.executable, nash.__file__],
+                      name="nash_cascade", d=3, L=nash.L,
+                      bounds=[[0.2, 0.9], [2.0, 20.0], [1.0, 6.0]], time_grid=grid,
+                      exchange_dir=str(tmp_path / "xchg"))
+    natives = [(0.5, 6.0, 2.5), (0.8, 15.0, 1.0)]
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_text("x1,x2,x3\n" + "".join(f"{c},{K},{n}\n" for c, K, n in natives))
+    out = tmp_path / "resp.csv"
+    assert cli.main(["simulate", "--simulator", spec, str(inputs), "--out", str(out)]) == 0
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert data.shape == (nash.L, 3)
+    assert data[:, 0].tolist() == grid
+    rain, hours = nash.rainfall(), np.arange(nash.L, dtype=float)
+    for series, (c, K, n) in zip(data[:, 1:].T, natives):
+        unit = (hours / K) ** (n - 1) * np.exp(-hours / K) / (K * math.gamma(n))
+        flow = np.zeros(nash.L)
+        for wet in np.flatnonzero(rain):
+            flow[wet:] += c * rain[wet] * unit[:nash.L - wet]
+        assert series.max() > 0
+        np.testing.assert_allclose(series, flow, rtol=1e-12, atol=0)
 
 
 def test_evaluate(tmp_path, capsys):
@@ -755,18 +900,24 @@ def test_evaluate_missing_file(tmp_path, capsys):
 
 
 def test_commands_without_a_fit_load_no_scipy(tmp_path):
-    """`import dyncal.cli` and the dps, evaluate and simulate commands load no
-    scipy module: scipy.linalg and scipy.special come in at the first
-    surrogate fit, so only calibrate and hm pay for them."""
+    """`import dyncal.cli` and the dps, evaluate and simulate commands (a
+    bundled simulator or a spec file) load no scipy module: scipy.linalg and
+    scipy.special come in at the first surrogate fit, so only calibrate and hm
+    pay for them."""
     target = write_series_csv(tmp_path / "target.csv", target_series("easom"))
     candidate = write_series_csv(tmp_path / "candidate.csv", target_series("easom") + 0.1)
     inputs = tmp_path / "inputs.csv"
     inputs.write_text("x1,x2\n0.8,0.2\n")
+    spec = write_spec(tmp_path / "spec.json", d=2, L=2, exchange_dir=str(tmp_path / "xchg"),
+                      command=[sys.executable, "-c",
+                               "open('output.csv', 'w').write('1,0.5\\n2,1.5\\n')"])
     runs = [
         ["dps", target, "--k-max", "3", "--out-dir", str(tmp_path / "dps")],
         ["evaluate", candidate, target, "--out", str(tmp_path / "metrics.json")],
         ["simulate", "--simulator", "easom", str(inputs),
          "--out", str(tmp_path / "responses.csv")],
+        ["simulate", "--simulator", spec, str(inputs),
+         "--out", str(tmp_path / "external.csv")],
     ]
     code = textwrap.dedent(f"""
         import contextlib, io, sys, dyncal.cli
@@ -779,7 +930,8 @@ def test_commands_without_a_fit_load_no_scipy(tmp_path):
             loaded.append(scipy_modules())
         print(loaded)
     """)
-    assert run_fresh_python(code).strip() == repr([[]] * 4)
+    assert run_fresh_python(code).strip() == repr([[]] * 5)
+    assert (tmp_path / "external.csv").read_text() == "t,y1\n1.0,0.5\n2.0,1.5\n"
 
 
 @pytest.mark.parametrize("cmd,files,message", [
